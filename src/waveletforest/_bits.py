@@ -77,3 +77,76 @@ def word_view(words: np.ndarray) -> memoryview:
     if sys.byteorder != "little":
         words = words.astype("=u8")
     return memoryview(words).cast("B").cast("Q")
+
+
+class TracedWords:
+    """A word view that appends base + 8 * k to trace for every word k
+    it serves: the byte offset, in the serialized layout, of each word
+    a query reads, in the order read."""
+
+    __slots__ = ("_mv", "_trace", "_base")
+
+    def __init__(self, mv, trace: list, base: int):
+        self._mv, self._trace, self._base = mv, trace, base
+
+    def __getitem__(self, k: int) -> int:
+        self._trace.append(self._base + 8 * k)
+        return self._mv[k]
+
+
+def truncated() -> ValueError:
+    return ValueError("structure runs past the end of the buffer")
+
+
+def inside(buf: np.ndarray, at) -> np.ndarray:
+    """at as int64, after checking that every index lies inside buf."""
+    at = np.asarray(at, np.int64)
+    if at.size and (int(at.min()) < 0 or int(at.max()) >= len(buf)):
+        raise truncated()
+    return at
+
+
+def read_words(buf: np.ndarray, at, limit: int | None = None) -> np.ndarray:
+    """buf[at] as int64, after checking that every index lies inside buf
+    and every value read is at most limit (default len(buf)), so that a
+    value read from a damaged buffer can neither index nor size an
+    allocation past it."""
+    values = buf[inside(buf, at)]
+    if values.size and int(values.max()) > (len(buf) if limit is None
+                                            else limit):
+        raise truncated()
+    return values.astype(np.int64)
+
+
+class WordBuffer:
+    """A structure held as one array of little-endian u64 words, which is
+    also its serialized form: to_bytes returns the words, from_buffer
+    wraps them without copying. Subclasses index the words in __init__,
+    and trim _buf to the structure's end."""
+
+    __slots__ = ("_buf", "_mv")
+
+    def _reader(self, trace, base: int):
+        """The view a query reads its words through: the bare memoryview,
+        or, given a trace list, one recording every word read at base."""
+        return self._mv if trace is None else TracedWords(self._mv, trace, base)
+
+    def size_bytes(self) -> int:
+        return 8 * len(self._buf)
+
+    def to_bytes(self) -> bytes:
+        return self._buf.tobytes()
+
+    @classmethod
+    def from_buffer(cls, buf, offset: int = 0):
+        """Wrap the structure at byte offset of buf, without copying;
+        returns (structure, end offset)."""
+        nbytes = memoryview(buf).nbytes
+        if not 0 <= offset <= nbytes:
+            raise truncated()
+        structure = cls(np.frombuffer(buf, _U64, (nbytes - offset) // 8, offset))
+        return structure, offset + structure.size_bytes()
+
+    @classmethod
+    def from_bytes(cls, blob):
+        return cls.from_buffer(blob)[0]

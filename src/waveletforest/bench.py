@@ -112,50 +112,37 @@ def _results(structure, block_bytes, query_kind, timings):
     return out
 
 
-def run_access_bench(structure, positions, repeats: int = 1,
-                     block_bytes: int | None = None) -> list[BenchResult]:
-    positions = [int(p) for p in positions]
-    access = structure.access
+def _bench(structure, query_kind, call, args, repeats, block_bytes):
+    """Time `repeats` passes of call(*a) over args, summing the answers."""
     timings = []
     for _ in range(repeats):
         acc = 0
         t0 = time.perf_counter_ns()
-        for p in positions:
-            acc += access(p)
+        for a in args:
+            acc += call(*a)
         t1 = time.perf_counter_ns()
-        timings.append((len(positions), t1 - t0, acc))
-    return _results(structure, block_bytes, "access", timings)
+        timings.append((len(args), t1 - t0, acc))
+    return _results(structure, block_bytes, query_kind, timings)
+
+
+def run_access_bench(structure, positions, repeats: int = 1,
+                     block_bytes: int | None = None) -> list[BenchResult]:
+    return _bench(structure, "access", structure.access,
+                  [(int(p),) for p in positions], repeats, block_bytes)
 
 
 def run_rank_bench(structure, queries, repeats: int = 1,
                    block_bytes: int | None = None) -> list[BenchResult]:
     """queries: (symbol, position) pairs."""
-    queries = [(int(c), int(i)) for c, i in queries]
-    rank = structure.rank
-    timings = []
-    for _ in range(repeats):
-        acc = 0
-        t0 = time.perf_counter_ns()
-        for c, i in queries:
-            acc += rank(c, i)
-        t1 = time.perf_counter_ns()
-        timings.append((len(queries), t1 - t0, acc))
-    return _results(structure, block_bytes, "rank", timings)
+    return _bench(structure, "rank", structure.rank,
+                  [(int(c), int(i)) for c, i in queries], repeats, block_bytes)
 
 
 def run_count_bench(fm: FmIndex, patterns, repeats: int = 1,
                     block_bytes: int | None = None) -> list[BenchResult]:
-    patterns = [list(map(int, p)) for p in patterns]
-    count = fm.count
-    timings = []
-    for _ in range(repeats):
-        acc = 0
-        t0 = time.perf_counter_ns()
-        for p in patterns:
-            acc += count(p)
-        t1 = time.perf_counter_ns()
-        timings.append((len(patterns), t1 - t0, acc))
-    return _results(fm, block_bytes, "count", timings)
+    return _bench(fm, "count", fm.count,
+                  [(list(map(int, p)),) for p in patterns], repeats,
+                  block_bytes)
 
 
 # -- deterministic query generation ------------------------------------
@@ -180,28 +167,26 @@ def gen_count_patterns(seed: int, count: int, length: int, sigma: int):
 
 # -- locality profiling -------------------------------------------------
 
-def profile_access(structure, i: int) -> tuple[int, TouchTrace]:
+def _profile(query, *args) -> tuple[int, TouchTrace]:
     t = []
-    answer = structure.access(i, trace=t)
+    answer = query(*args, trace=t)
     return answer, TouchTrace(t)
+
+
+def profile_access(structure, i: int) -> tuple[int, TouchTrace]:
+    return _profile(structure.access, i)
 
 
 def profile_rank(structure, c: int, i: int) -> tuple[int, TouchTrace]:
-    t = []
-    answer = structure.rank(c, i, trace=t)
-    return answer, TouchTrace(t)
+    return _profile(structure.rank, c, i)
 
 
 def profile_select(structure, c: int, j: int) -> tuple[int, TouchTrace]:
-    t = []
-    answer = structure.select(c, j, trace=t)
-    return answer, TouchTrace(t)
+    return _profile(structure.select, c, j)
 
 
 def profile_count(fm: FmIndex, pattern) -> tuple[int, TouchTrace]:
-    t = []
-    answer = fm.count(pattern, trace=t)
-    return answer, TouchTrace(t)
+    return _profile(fm.count, pattern)
 
 
 def summarize_locality(trace, granularity: int) -> LocalityProfile:

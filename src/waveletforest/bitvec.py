@@ -8,24 +8,24 @@ every 8192nd clear bit).
 
 The serialized section is the in-memory structure: a vector is one
 array of little-endian u64 words, and queries read those words through
-a memoryview. The query functions below take the word index of the
-packed bits and of the rank directory, so wavelet trees and forests run
-them directly on the bitvector sections inside their own buffers.
+a word view. The query functions below take that view, the word index
+of the packed bits and that of the rank directory, so wavelet trees and
+forests run them directly on the bitvector sections inside their own
+buffers.
 
-Every query can record the byte offset of each word-sized read it
-performs against the serialized layout, which is what the locality
-profiler consumes. The instrumented and plain code paths are the same
-code; passing trace=None merely skips the recording.
+There is one query path. A public query given a trace list reads
+through a view that records the byte offset of every word it serves
+(_bits.TracedWords), so a trace is exactly the words the query read;
+without one it reads the bare memoryview.
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
-from ._bits import (pack_bits, popcount_words, ranges, select_in_word,
-                    select_in_words, word_view)
+from ._bits import (WordBuffer, inside, pack_bits, popcount_words, ranges,
+                    read_words, select_in_word, select_in_words, truncated,
+                    word_view)
 
 MAGIC = b"WFBV"
 MAGIC_WORD = int.from_bytes(MAGIC + bytes(4), "little")
@@ -50,6 +50,36 @@ def section_words(length, ones):
     """Section size in words; works on ints and on int64 arrays."""
     return (4 + (length + 63) // 64 + length // SUPER_BITS
             + ones // SELECT_SAMPLE + (length - ones) // SELECT_SAMPLE)
+
+
+def read_sections(buf, starts):
+    """Length, set-bit count and size in words of the bitvector sections
+    at word offsets starts of buf, each checked to lie inside buf. The
+    set bits are the last rank directory entry plus the popcount of the
+    words after it."""
+    starts = np.asarray(starts, np.int64)
+    if (buf[inside(buf, starts)] != MAGIC_WORD).any():
+        raise ValueError("bad bitvector magic")
+    lengths = read_words(buf, starts + 1, 64 * len(buf))
+    nwords = (lengths + 63) // 64
+    ndir = lengths // SUPER_BITS
+    dir_end = starts + _WORDS_AT + nwords + ndir
+    if (dir_end >= len(buf)).any():  # the 1-sample count follows
+        raise truncated()
+    ones = np.where(ndir > 0, buf[dir_end - 1], 0).astype(np.int64)
+    tail = nwords - 8 * ndir
+    np.add.at(ones, np.repeat(np.arange(len(starts)), tail),
+              popcount_words(buf[ranges(starts + _WORDS_AT + 8 * ndir, tail)]))
+    sizes = section_words(lengths, ones)
+    if (starts + sizes > len(buf)).any():
+        raise truncated()
+    # Select reads its sample counts; they must be the ones sized here.
+    n1 = ones // SELECT_SAMPLE
+    if ((buf[dir_end].astype(np.int64) != n1).any()
+            or (buf[dir_end + 1 + n1].astype(np.int64)
+                != (lengths - ones) // SELECT_SAMPLE).any()):
+        raise ValueError("bitvector select-sample counts do not match its bits")
+    return lengths, ones, sizes
 
 
 def write_sections(buf, starts, lengths, ones) -> None:
@@ -103,7 +133,7 @@ def write_sections(buf, starts, lengths, ones) -> None:
         count_at = count_at + 1 + nsamp
 
 
-def rank1(mv, w: int, d: int, i: int, trace=None, base: int = 0) -> int:
+def rank1(mv, w: int, d: int, i: int) -> int:
     """Set bits among the first i bits of the vector whose packed words
     start at word w of mv and whose rank directory starts at word d.
     The caller checks 0 <= i <= length."""
@@ -111,22 +141,13 @@ def rank1(mv, w: int, d: int, i: int, trace=None, base: int = 0) -> int:
         return 0
     last = w + ((i - 1) >> 6)
     s = (i - 1) >> 9
-    count = 0
-    if s:
-        if trace is not None:
-            trace.append(base + 8 * (d + s - 1))
-        count = mv[d + s - 1]
+    count = mv[d + s - 1] if s else 0
     for k in range(w + (s << 3), last):
-        if trace is not None:
-            trace.append(base + 8 * k)
         count += mv[k].bit_count()
-    if trace is not None:
-        trace.append(base + 8 * last)
     return count + (mv[last] & ((2 << ((i - 1) & 63)) - 1)).bit_count()
 
 
-def select(mv, w: int, d: int, length: int, j: int, ones: bool,
-           trace=None, base: int = 0) -> int:
+def select(mv, w: int, d: int, length: int, j: int, ones: bool) -> int:
     """Position of the j-th (1-based) set bit (ones) or clear bit of the
     vector laid out as for rank1. The caller checks that j is in range."""
     ndir = length >> 9
@@ -136,25 +157,17 @@ def select(mv, w: int, d: int, length: int, j: int, ones: bool,
     samples, nsamp = count_at + 1, mv[count_at]
     q, rem = divmod(j, SELECT_SAMPLE)
     if rem == 0:
-        if trace is not None:
-            trace.append(base + 8 * (samples + q - 1))
         return mv[samples + q - 1]
 
     lo, hi = 0, ndir  # candidate superblocks lo..hi, hi == ndir means the tail
     if q >= 1:
-        if trace is not None:
-            trace.append(base + 8 * (samples + q - 1))
         lo = (mv[samples + q - 1] - 1) >> 9
     if q < nsamp:
-        if trace is not None:
-            trace.append(base + 8 * (samples + q))
         hi = min(hi, (mv[samples + q] - 1) >> 9)
 
     # First superblock whose cumulative count reaches j.
     while lo < hi:
         mid = (lo + hi) >> 1
-        if trace is not None:
-            trace.append(base + 8 * (d + mid))
         c = mv[d + mid]
         if (c if ones else SUPER_BITS * (mid + 1) - c) >= j:
             hi = mid
@@ -163,13 +176,9 @@ def select(mv, w: int, d: int, length: int, j: int, ones: bool,
 
     count = 0
     if lo:
-        if trace is not None:
-            trace.append(base + 8 * (d + lo - 1))
         c = mv[d + lo - 1]
         count = c if ones else SUPER_BITS * lo - c
     for k in range(lo << 3, (length + 63) >> 6):
-        if trace is not None:
-            trace.append(base + 8 * (w + k))
         word = mv[w + k]
         if not ones:
             valid = min(64, length - 64 * k)
@@ -181,18 +190,19 @@ def select(mv, w: int, d: int, length: int, j: int, ones: bool,
     raise AssertionError("select ordinal not found; structure corrupt")
 
 
-class BitVector:
-    __slots__ = ("_buf", "_mv", "_length", "_num_ones", "_words", "_dir")
+class BitVector(WordBuffer):
+    __slots__ = ("_length", "_num_ones", "_words", "_dir")
 
-    def __init__(self, buf: np.ndarray, num_ones: int):
-        self._buf = buf
-        self._mv = word_view(buf)
-        self._length = length = int(buf[1])
-        nwords = (length + 63) // 64
-        self._words = buf[_WORDS_AT:_WORDS_AT + nwords]
-        self._dir = buf[_WORDS_AT + nwords:
-                        _WORDS_AT + nwords + length // SUPER_BITS]
-        self._num_ones = num_ones
+    def __init__(self, buf: np.ndarray):
+        """Wrap the u64 words of a serialized bitvector section."""
+        (length,), (ones,), (size,) = read_sections(buf, [0])
+        self._buf = buf[:size]
+        self._mv = word_view(self._buf)
+        self._length = length = int(length)
+        self._num_ones = int(ones)
+        dir_at = _WORDS_AT + (length + 63) // 64
+        self._words = self._buf[_WORDS_AT:dir_at]
+        self._dir = self._buf[dir_at:dir_at + length // SUPER_BITS]
 
     # -- construction ------------------------------------------------
 
@@ -216,7 +226,7 @@ class BitVector:
         buf = np.zeros(section_words(length, ones), _U64)
         buf[_WORDS_AT:_WORDS_AT + len(words)] = words
         write_sections(buf, [0], [length], [ones])
-        return cls(buf, ones)
+        return cls(buf)
 
     # -- queries -----------------------------------------------------
 
@@ -235,17 +245,15 @@ class BitVector:
         """Bit at position i (1-based)."""
         if i < 1 or i > self._length:
             raise IndexError(f"position {i} out of range 1..{self._length}")
-        w = _WORDS_AT + ((i - 1) >> 6)
-        if trace is not None:
-            trace.append(base + 8 * w)
-        return (self._mv[w] >> ((i - 1) & 63)) & 1
+        mv = self._reader(trace, base)
+        return (mv[_WORDS_AT + ((i - 1) >> 6)] >> ((i - 1) & 63)) & 1
 
     def rank1(self, i: int, trace=None, base: int = 0) -> int:
         """Number of set bits in positions 1..i; rank1(0) is 0."""
         if i < 0 or i > self._length:
             raise IndexError(f"position {i} out of range 0..{self._length}")
-        return rank1(self._mv, _WORDS_AT, _WORDS_AT + len(self._words), i,
-                     trace, base)
+        return rank1(self._reader(trace, base), _WORDS_AT,
+                     _WORDS_AT + len(self._words), i)
 
     def rank0(self, i: int, trace=None, base: int = 0) -> int:
         """Number of clear bits in positions 1..i."""
@@ -255,41 +263,13 @@ class BitVector:
         """Position of the j-th (1-based) set bit."""
         if j < 1 or j > self._num_ones:
             raise ValueError(f"ordinal {j} out of range 1..{self._num_ones}")
-        return select(self._mv, _WORDS_AT, _WORDS_AT + len(self._words),
-                      self._length, j, True, trace, base)
+        return select(self._reader(trace, base), _WORDS_AT,
+                      _WORDS_AT + len(self._words), self._length, j, True)
 
     def select0(self, j: int, trace=None, base: int = 0) -> int:
         """Position of the j-th (1-based) clear bit."""
         zeros = self._length - self._num_ones
         if j < 1 or j > zeros:
             raise ValueError(f"ordinal {j} out of range 1..{zeros}")
-        return select(self._mv, _WORDS_AT, _WORDS_AT + len(self._words),
-                      self._length, j, False, trace, base)
-
-    # -- serialization -----------------------------------------------
-
-    def size_bytes(self) -> int:
-        return 8 * len(self._buf)
-
-    def to_bytes(self) -> bytes:
-        return self._buf.tobytes()
-
-    @classmethod
-    def from_buffer(cls, buf, offset: int = 0) -> tuple["BitVector", int]:
-        """Parse one serialized vector; returns (vector, end offset)."""
-        if buf[offset:offset + 4] != MAGIC:
-            raise ValueError("bad bitvector magic")
-        (length,) = struct.unpack_from("<Q", buf, offset + 8)
-        nwords = (length + 63) // 64
-        ndir = length // SUPER_BITS
-        pos = offset + 8 * (_WORDS_AT + nwords + ndir)
-        (n1,) = struct.unpack_from("<Q", buf, pos)
-        pos += 8 + 8 * n1
-        (n0,) = struct.unpack_from("<Q", buf, pos)
-        pos += 8 + 8 * n0
-        section = np.frombuffer(buf, _U64, (pos - offset) // 8, offset)
-        words = section[_WORDS_AT:_WORDS_AT + nwords]
-        ones = int(popcount_words(words[8 * ndir:]).sum())
-        if ndir:
-            ones += int(section[_WORDS_AT + nwords + ndir - 1])
-        return cls(section, ones), pos
+        return select(self._reader(trace, base), _WORDS_AT,
+                      _WORDS_AT + len(self._words), self._length, j, False)

@@ -10,20 +10,27 @@ rank queries per symbol unless the row interval empties early.
 The C array maps each text symbol c to 1 + (number of text symbols
 smaller than c): one slot past the sentinel's row. lf_step treats the
 sentinel's C value as 0.
+
+As trees and forests are, an FM-index is one array of u64 words in the
+layout below, which to_bytes returns and from_buffer wraps; its backend
+is a view of the array's backend section.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import wforest, wtree
+from ._bits import WordBuffer, truncated, word_view
 from .wforest import WaveletForest
-from .wtree import WaveletTree, _as_symbol_array
+from .wtree import _U64, WaveletTree, _as_symbol_array, _ceil8
 
 MAGIC = b"WFFM"
+
+# The sentinel needs one more alphabet bit, and trees hold at most 16.
+MAX_ALPHABET_BITS = 15
 
 # Serialized layout, offsets relative to the section start:
 #   0  magic "WFFM", alphabet_bits u8, 3 zero bytes
@@ -34,10 +41,18 @@ MAGIC = b"WFFM"
 #      backend section (a wavelet tree or wavelet forest over the BWT),
 #      zero-padded to start on a 64-byte boundary so the backend's
 #      cache-line-aligned word arrays stay aligned inside this file
-_C_OFF = 24
-_DATA_ALIGN = 64
+_C_AT = 3  # word index of the C array
 
-_U64 = np.dtype("<u8")
+
+def _backend_at(alphabet_bits: int) -> int:
+    """Word offset of the backend section."""
+    return _ceil8(_C_AT + (1 << alphabet_bits) + 1)
+
+
+def _c_array(backend, alphabet_bits: int) -> np.ndarray:
+    """C[c] = 1 + occurrences in the BWT of symbols below c, c = 0..2^bits."""
+    hist = backend.histogram[:(1 << alphabet_bits) + 1]
+    return 1 + np.cumsum(hist) - hist
 
 
 @dataclass
@@ -52,7 +67,13 @@ class Bwt:
 
 
 def build_bwt(symbols, alphabet_bits: int, validate: bool = True) -> Bwt:
-    """BWT of the text extended with its unique smallest sentinel."""
+    """BWT of the text extended with its unique smallest sentinel.
+
+    Raises ValueError unless alphabet_bits is in 1..MAX_ALPHABET_BITS
+    (15): the sentinel 2^alphabet_bits widens the alphabet by one bit."""
+    if alphabet_bits > MAX_ALPHABET_BITS:
+        raise ValueError(f"FM-index alphabet_bits must be in "
+                         f"1..{MAX_ALPHABET_BITS}")
     arr = _as_symbol_array(symbols, alphabet_bits, validate)
     n = int(arr.size)
     if n == 0:
@@ -94,14 +115,41 @@ def _suffix_array(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-class FmIndex:
-    __slots__ = ("_n", "_alphabet_bits", "_primary", "_c", "_backend")
+class FmIndex(WordBuffer):
+    __slots__ = ("_n", "_alphabet_bits", "_primary", "_back_at", "_backend")
 
-    def __init__(self, n, alphabet_bits, primary, c_array, backend):
-        self._n = n
-        self._alphabet_bits = alphabet_bits
-        self._primary = primary
-        self._c = c_array
+    def __init__(self, buf: np.ndarray):
+        """Wrap the u64 words of a serialized FM-index."""
+        if len(buf) < _C_AT:
+            raise truncated()
+        raw = int(buf[0]).to_bytes(8, "little")
+        if raw[:4] != MAGIC:
+            raise ValueError("bad FM-index magic")
+        bits = raw[4]
+        if not 1 <= bits <= MAX_ALPHABET_BITS:
+            raise ValueError(f"FM-index alphabet_bits {bits} outside "
+                             f"1..{MAX_ALPHABET_BITS}")
+        back_at = _backend_at(bits)
+        if len(buf) <= back_at:
+            raise truncated()
+        kind = {wtree.MAGIC: WaveletTree, wforest.MAGIC: WaveletForest}.get(
+            int(buf[back_at]).to_bytes(8, "little")[:4])
+        if kind is None:
+            raise ValueError("unrecognized FM-index backend section")
+        backend = kind.from_buffer(buf, 8 * back_at)[0]
+        if backend.alphabet_bits != bits + 1:
+            raise ValueError("FM-index backend alphabet is not one bit wider")
+        n, primary = int(buf[1]), int(buf[2])
+        c_array = _c_array(backend, bits)
+        if (n + 1 != len(backend) or primary > n
+                or (buf[_C_AT:_C_AT + len(c_array)].astype(np.int64)
+                    != c_array).any()):
+            raise ValueError("FM-index header disagrees with its backend")
+        self._buf = buf[:back_at + backend.size_bytes() // 8]
+        self._mv = word_view(self._buf)
+        self._n, self._primary = n, primary
+        self._alphabet_bits = bits
+        self._back_at = back_at
         self._backend = backend
 
     # -- construction ------------------------------------------------
@@ -125,12 +173,13 @@ class FmIndex:
                                         validate=False)
         else:
             raise ValueError(f"unknown backend {backend!r}")
-        n = len(bwt.transformed) - 1
-        sigma = 1 << ab
-        c_array = np.empty(sigma + 1, dtype=np.int64)
-        c_array[0] = 1
-        c_array[1:] = 1 + np.cumsum(store.histogram[:sigma])
-        return cls(n, ab, bwt.primary_index, c_array, store)
+        back_at = _backend_at(ab)
+        buf = np.zeros(back_at + store.size_bytes() // 8, _U64)
+        buf[0] = int.from_bytes(MAGIC + bytes([ab, 0, 0, 0]), "little")
+        buf[1:_C_AT] = len(bwt.transformed) - 1, bwt.primary_index
+        buf[_C_AT:_C_AT + (1 << ab) + 1] = _c_array(store, ab)
+        buf[back_at:] = np.frombuffer(store.to_bytes(), _U64)
+        return cls(buf)
 
     # -- queries -----------------------------------------------------
 
@@ -152,7 +201,7 @@ class FmIndex:
 
     @property
     def c_array(self) -> np.ndarray:
-        return self._c
+        return self._buf[_C_AT:_C_AT + self.sentinel + 1].astype(np.int64)
 
     @property
     def backend(self):
@@ -162,25 +211,19 @@ class FmIndex:
     def backend_kind(self) -> str:
         return "forest" if isinstance(self._backend, WaveletForest) else "tree"
 
-    def _backend_off(self) -> int:
-        end = _C_OFF + 8 * len(self._c)
-        return end + (-end) % _DATA_ALIGN
-
     def bwt_symbol(self, row: int, trace=None, base: int = 0) -> int:
         """BWT symbol of a row (0-based), the sentinel included."""
         if row < 0 or row > self._n:
             raise IndexError(f"row {row} out of range 0..{self._n}")
-        return self._backend.access(row + 1, trace, base + self._backend_off())
+        return self._backend.access(row + 1, trace, base + 8 * self._back_at)
 
     def lf_step(self, row: int, trace=None, base: int = 0) -> int:
         """Row of the rotation one position to the left."""
         c = self.bwt_symbol(row, trace, base)
         if c == self.sentinel:
             return 0
-        if trace is not None:
-            trace.append(base + _C_OFF + 8 * c)
-        return int(self._c[c]) + self._backend.rank(
-            c, row + 1, trace, base + self._backend_off()) - 1
+        return self._reader(trace, base)[_C_AT + c] + self._backend.rank(
+            c, row + 1, trace, base + 8 * self._back_at) - 1
 
     def count(self, pattern, trace=None, base: int = 0) -> int:
         """Occurrences of the pattern in the text."""
@@ -190,55 +233,12 @@ class FmIndex:
         sigma = 1 << self._alphabet_bits
         if any(c < 0 or c >= sigma for c in pat):
             return 0
-        boff = self._backend_off()
+        mv, boff = self._reader(trace, base), base + 8 * self._back_at
         lo, hi = 0, self._n + 1
         for c in reversed(pat):
-            if trace is not None:
-                trace.append(base + _C_OFF + 8 * c)
-            start = int(self._c[c])
-            lo = start + self._backend.rank(c, lo, trace, base + boff)
-            hi = start + self._backend.rank(c, hi, trace, base + boff)
+            start = mv[_C_AT + c]
+            lo = start + self._backend.rank(c, lo, trace, boff)
+            hi = start + self._backend.rank(c, hi, trace, boff)
             if lo >= hi:
                 return 0
         return hi - lo
-
-    # -- sizes and serialization --------------------------------------
-
-    def size_bytes(self) -> int:
-        return self._backend_off() + self._backend.size_bytes()
-
-    def to_bytes(self) -> bytes:
-        c_end = _C_OFF + 8 * len(self._c)
-        return b"".join([
-            MAGIC,
-            struct.pack("<B3x", self._alphabet_bits),
-            struct.pack("<QQ", self._n, self._primary),
-            self._c.astype(_U64).tobytes(),
-            bytes(self._backend_off() - c_end),
-            self._backend.to_bytes(),
-        ])
-
-    @classmethod
-    def from_buffer(cls, buf, offset: int = 0) -> tuple["FmIndex", int]:
-        if buf[offset:offset + 4] != MAGIC:
-            raise ValueError("bad FM-index magic")
-        (alphabet_bits,) = struct.unpack_from("<B", buf, offset + 4)
-        n, primary = struct.unpack_from("<QQ", buf, offset + 8)
-        sigma = 1 << alphabet_bits
-        c_array = np.frombuffer(buf, _U64, sigma + 1,
-                                offset + _C_OFF).astype(np.int64)
-        c_end = _C_OFF + 8 * (sigma + 1)
-        back_at = offset + c_end + (-c_end) % _DATA_ALIGN
-        magic = bytes(buf[back_at:back_at + 4])
-        if magic == wtree.MAGIC:
-            backend, end = WaveletTree.from_buffer(buf, back_at)
-        elif magic == wforest.MAGIC:
-            backend, end = WaveletForest.from_buffer(buf, back_at)
-        else:
-            raise ValueError("unrecognized FM-index backend section")
-        return cls(n, alphabet_bits, primary, c_array, backend), end
-
-    @classmethod
-    def from_bytes(cls, blob) -> "FmIndex":
-        fm, _ = cls.from_buffer(blob)
-        return fm

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import struct
 from dataclasses import dataclass, field
 
 
@@ -63,28 +62,6 @@ class CodeTable:
     def sorted_entries(self) -> list[tuple[int, int]]:
         """(symbol, length) pairs ordered by (length, symbol)."""
         return sorted(self.lengths.items(), key=lambda kv: (kv[1], kv[0]))
-
-    # Serialized as: count (u64), then (symbol u64, length u64) per
-    # entry, ordered by (length, symbol).
-    def to_bytes(self) -> bytes:
-        parts = [struct.pack("<Q", len(self.lengths))]
-        for sym, ln in self.sorted_entries():
-            parts.append(struct.pack("<QQ", sym, ln))
-        return b"".join(parts)
-
-    def size_bytes(self) -> int:
-        return 8 + 16 * len(self.lengths)
-
-    @classmethod
-    def from_buffer(cls, buf, offset: int = 0) -> tuple["CodeTable", int]:
-        (count,) = struct.unpack_from("<Q", buf, offset)
-        pos = offset + 8
-        lengths = {}
-        for _ in range(count):
-            sym, ln = struct.unpack_from("<QQ", buf, pos)
-            lengths[sym] = ln
-            pos += 16
-        return cls.from_lengths(lengths), pos
 
 
 def build_code_table(freqs) -> CodeTable:

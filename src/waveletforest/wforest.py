@@ -19,6 +19,7 @@ from functools import partial
 
 import numpy as np
 
+from ._bits import read_words, truncated
 from .wtree import (_U64, WaveletTree, _as_symbol_array, _ceil8, _Trees,
                     build_trees, header_fields, header_word)
 
@@ -67,11 +68,16 @@ class WaveletForest(_Trees):
 
     def __init__(self, buf: np.ndarray):
         """Wrap the u64 words of a serialized forest section."""
+        if len(buf) < _HEADER_WORDS:
+            raise truncated()
         bits = header_fields(buf[0], MAGIC, VERSION, "wavelet forest")
         n, block_len, m = (int(x) for x in buf[1:_HEADER_WORDS])
         if block_len < 1:
             raise ValueError("corrupt forest: block_len must be positive")
-        row_at = buf[_HEADER_WORDS:_HEADER_WORDS + m].astype(np.int64) // 8
+        if m > len(buf):  # before allocating m offsets
+            raise truncated()
+        row_at = read_words(buf, np.arange(_HEADER_WORDS, _HEADER_WORDS + m),
+                            8 * len(buf)) // 8
         self._n = n
         self._block_len = block_len
         self._row_at = row_at.tolist()
@@ -119,7 +125,8 @@ class WaveletForest(_Trees):
         if i < 1 or i > self._n:
             raise IndexError(f"position {i} out of range 1..{self._n}")
         k = (i - 1) // self._block_len
-        return self._access_in(k, i - k * self._block_len, trace, base)
+        return self._access_in(self._reader(trace, base), k,
+                               i - k * self._block_len)
 
     def rank(self, c: int, i: int, trace=None, base: int = 0) -> int:
         """Occurrences of c in positions 1..i: R[k][c] plus a local rank."""
@@ -129,11 +136,9 @@ class WaveletForest(_Trees):
         if i == 0:
             return 0
         k = (i - 1) // self._block_len
-        row = self._row_at[k] + c
-        if trace is not None:
-            trace.append(base + 8 * row)
-        return self._mv[row] + self._rank_in(k, c, i - k * self._block_len,
-                                             trace, base)
+        mv = self._reader(trace, base)
+        return mv[self._row_at[k] + c] + self._rank_in(
+            mv, k, c, i - k * self._block_len)
 
     def select(self, c: int, j: int, trace=None, base: int = 0) -> int:
         """Position of the j-th occurrence of c."""
@@ -143,22 +148,17 @@ class WaveletForest(_Trees):
             raise ValueError(f"symbol {c} occurs {total} times, ordinal {j}")
         # Last block whose prefix count stays below j. Row 0 is all
         # zeros, so the search runs over rows 1..m-1.
-        mv, rows = self._mv, self._row_at
+        mv, rows = self._reader(trace, base), self._row_at
         lo, hi = 1, len(rows)
         while lo < hi:
             mid = (lo + hi) >> 1
-            if trace is not None:
-                trace.append(base + 8 * (rows[mid] + c))
             if mv[rows[mid] + c] >= j:
                 hi = mid
             else:
                 lo = mid + 1
         k = lo - 1
-        if trace is not None:
-            trace.append(base + 8 * (rows[k] + c))
         local_j = j - mv[rows[k] + c]
-        return k * self._block_len + self._select_in(k, c, local_j, trace,
-                                                     base)
+        return k * self._block_len + self._select_in(mv, k, c, local_j)
 
     # -- sizes and serialization --------------------------------------
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bitvec
-from ._bits import popcount_words, ranges, word_view
+from ._bits import WordBuffer, ranges, read_words, truncated, word_view
 from .huffman import CodeTable, build_code_table
 
 MAGIC = b"WFWT"
@@ -64,6 +64,8 @@ def header_fields(word: int, magic: bytes, version: int, what: str) -> int:
         raise ValueError(f"bad {what} magic")
     if raw[4] != version:
         raise ValueError(f"unsupported {what} version {raw[4]}")
+    if not 1 <= raw[5] <= 16:
+        raise ValueError(f"{what} alphabet_bits {raw[5]} outside 1..16")
     return raw[5]
 
 
@@ -127,10 +129,10 @@ def _leaf_symbols(child, es):
     return np.where(leaf, -es[np.where(leaf, -child - 1, 0)] - 1, child)
 
 
-class _Trees:
+class _Trees(WordBuffer):
     """Flat index over the tree sections of one u64 word buffer."""
 
-    __slots__ = ("_buf", "_mv", "_n", "_alphabet_bits", "_hist", "_tree_end",
+    __slots__ = ("_n", "_alphabet_bits", "_hist", "_tree_end",
                  "_data_words", "_root", "_entry", "_code", "_clen", "_nw",
                  "_nd", "_nlen", "_left", "_right")
 
@@ -141,34 +143,27 @@ class _Trees:
         least min_end words). Built and loaded structures both come here."""
         sigma = 1 << alphabet_bits
         m = len(tree_at)
+        ncodes = read_words(buf, tree_at + 2)
         for word in np.unique(buf[tree_at]).tolist():
             if header_fields(word, MAGIC, VERSION, "wavelet tree") != alphabet_bits:
                 raise ValueError("tree alphabet differs from the structure's")
-        ncodes = buf[tree_at + 2].astype(np.int64)
+        count_at = tree_at + 3 + 2 * ncodes
+        nnodes = read_words(buf, count_at)
+        if (nnodes != np.maximum(ncodes - 1, 0)).any():
+            raise ValueError("node count does not match code table")
         estart = np.cumsum(ncodes) - ncodes
         pairs = buf[ranges(tree_at + 3, 2 * ncodes)].astype(np.int64)
         es, el = pairs[0::2], pairs[1::2]
-        if (es >= sigma).any():
+        if ((es < 0) | (es >= sigma)).any():
             raise ValueError("code table symbol outside the alphabet")
         ek = np.repeat(np.arange(m), ncodes)
         codes, _, first, _, left, right = _shape(ek, el, ncodes)
 
-        count_at = tree_at + 3 + 2 * ncodes
-        nnodes = buf[count_at].astype(np.int64)
-        if (nnodes != np.maximum(ncodes - 1, 0)).any():
-            raise ValueError("node count does not match code table")
         nk = np.repeat(np.arange(m), nnodes)
-        starts = tree_at[nk] + buf[ranges(count_at + 1, nnodes)].astype(
-            np.int64) // 8
-        lengths = buf[starts + 1].astype(np.int64)
+        starts = tree_at[nk] + read_words(buf, ranges(count_at + 1, nnodes),
+                                          8 * len(buf)) // 8
+        lengths, ones, sizes = bitvec.read_sections(buf, starts)
         nwords = (lengths + 63) // 64
-        ndir = lengths // bitvec.SUPER_BITS
-        ones = np.where(ndir > 0, buf[starts + 1 + nwords + ndir], 0).astype(
-            np.int64)
-        tail = nwords - 8 * ndir
-        np.add.at(ones, np.repeat(np.arange(len(starts)), tail),
-                  popcount_words(buf[ranges(starts + 2 + 8 * ndir, tail)]))
-        sizes = bitvec.section_words(lengths, ones)
         tree_end = count_at + 1
         has = nnodes > 0
         last = first[has, 0] + nnodes[has] - 1
@@ -188,10 +183,7 @@ class _Trees:
         root[ncodes == 0] = -1
         shift = (64 - np.maximum(el, 1)).astype(np.uint64)
 
-        end = max(int(tree_end.max(initial=0)), min_end)
-        if end > len(buf):
-            raise ValueError("structure runs past the end of the buffer")
-        self._buf = buf[:end]
+        self._buf = buf[:max(int(tree_end.max(initial=0)), min_end)]
         self._mv = word_view(self._buf)
         self._alphabet_bits = alphabet_bits
         self._hist = hist
@@ -207,38 +199,36 @@ class _Trees:
         self._left = _leaf_symbols(left, es).tolist()
         self._right = _leaf_symbols(right, es).tolist()
 
-    # -- queries inside one tree --------------------------------------
+    # -- queries inside one tree, reading words through mv ------------
 
-    def _access_in(self, k: int, i: int, trace, base: int) -> int:
-        mv, nw, nd = self._mv, self._nw, self._nd
+    def _access_in(self, mv, k: int, i: int) -> int:
+        nw, nd = self._nw, self._nd
         node = self._root[k]
         while node >= 0:
-            w = nw[node] + ((i - 1) >> 6)
-            if trace is not None:
-                trace.append(base + 8 * w)
-            ones = bitvec.rank1(mv, nw[node], nd[node], i, trace, base)
-            if (mv[w] >> ((i - 1) & 63)) & 1:
+            bit = (mv[nw[node] + ((i - 1) >> 6)] >> ((i - 1) & 63)) & 1
+            ones = bitvec.rank1(mv, nw[node], nd[node], i)
+            if bit:
                 i, node = ones, self._right[node]
             else:
                 i, node = i - ones, self._left[node]
         return -node - 1
 
-    def _rank_in(self, k: int, c: int, i: int, trace, base: int) -> int:
+    def _rank_in(self, mv, k: int, c: int, i: int) -> int:
         e = self._entry.get((k << self._alphabet_bits) + c)
         if e is None:
             return 0
-        mv, nw, nd = self._mv, self._nw, self._nd
+        nw, nd = self._nw, self._nd
         code = self._code[e]
         node = self._root[k]
         for shift in range(self._clen[e] - 1, -1, -1):
-            ones = bitvec.rank1(mv, nw[node], nd[node], i, trace, base)
+            ones = bitvec.rank1(mv, nw[node], nd[node], i)
             if (code >> shift) & 1:
                 i, node = ones, self._right[node]
             else:
                 i, node = i - ones, self._left[node]
         return i
 
-    def _select_in(self, k: int, c: int, j: int, trace, base: int) -> int:
+    def _select_in(self, mv, k: int, c: int, j: int) -> int:
         """j-th occurrence of c in tree k; the caller checks 1 <= j <= count."""
         e = self._entry[(k << self._alphabet_bits) + c]
         code = self._code[e]
@@ -249,8 +239,8 @@ class _Trees:
             path.append((node, bit))
             node = self._right[node] if bit else self._left[node]
         for node, bit in reversed(path):
-            j = bitvec.select(self._mv, self._nw[node], self._nd[node],
-                              self._nlen[node], j, bit, trace, base)
+            j = bitvec.select(mv, self._nw[node], self._nd[node],
+                              self._nlen[node], j, bit)
         return j
 
     def _check_symbol(self, c: int):
@@ -258,7 +248,7 @@ class _Trees:
             raise ValueError(
                 f"symbol {c} outside alphabet 0..{(1 << self._alphabet_bits) - 1}")
 
-    # -- common accessors and serialization ---------------------------
+    # -- common accessors ----------------------------------------------
 
     def __len__(self) -> int:
         return self._n
@@ -270,24 +260,6 @@ class _Trees:
     @property
     def histogram(self) -> np.ndarray:
         return self._hist
-
-    def size_bytes(self) -> int:
-        return 8 * len(self._buf)
-
-    def to_bytes(self) -> bytes:
-        return self._buf.tobytes()
-
-    @classmethod
-    def from_buffer(cls, buf, offset: int = 0):
-        """Wrap the section at byte offset of buf, without copying;
-        returns (structure, end offset)."""
-        words = np.frombuffer(buf, _U64, (len(buf) - offset) // 8, offset)
-        structure = cls(words)
-        return structure, offset + structure.size_bytes()
-
-    @classmethod
-    def from_bytes(cls, blob):
-        return cls.from_buffer(blob)[0]
 
 
 def _chunks(n: int, block_len: int, sigma: int):
@@ -515,6 +487,8 @@ class WaveletTree(_Trees):
 
     def __init__(self, buf: np.ndarray):
         """Wrap the u64 words of a serialized tree section."""
+        if len(buf) < 3:
+            raise truncated()
         self._n = int(buf[1])
         self._index(buf, np.zeros(1, np.int64),
                     header_fields(buf[0], MAGIC, VERSION, "wavelet tree"))
@@ -545,21 +519,20 @@ class WaveletTree(_Trees):
 
     def node(self, idx: int) -> bitvec.BitVector:
         """Node idx's bitvector, a view of its section in this tree."""
-        view = memoryview(self._buf).cast("B")
-        return bitvec.BitVector.from_buffer(view, self.node_offset(idx))[0]
+        return bitvec.BitVector(self._buf[self._nw[idx] - 2:])
 
     def access(self, i: int, trace=None, base: int = 0) -> int:
         """Symbol at position i."""
         if i < 1 or i > self._n:
             raise IndexError(f"position {i} out of range 1..{self._n}")
-        return self._access_in(0, i, trace, base)
+        return self._access_in(self._reader(trace, base), 0, i)
 
     def rank(self, c: int, i: int, trace=None, base: int = 0) -> int:
         """Occurrences of symbol c in positions 1..i."""
         self._check_symbol(c)
         if i < 0 or i > self._n:
             raise IndexError(f"position {i} out of range 0..{self._n}")
-        return self._rank_in(0, c, i, trace, base)
+        return self._rank_in(self._reader(trace, base), 0, c, i)
 
     def select(self, c: int, j: int, trace=None, base: int = 0) -> int:
         """Position of the j-th occurrence of symbol c."""
@@ -567,7 +540,7 @@ class WaveletTree(_Trees):
         total = int(self._hist[c])
         if j < 1 or j > total:
             raise ValueError(f"symbol {c} occurs {total} times, ordinal {j}")
-        return self._select_in(0, c, j, trace, base)
+        return self._select_in(self._reader(trace, base), 0, c, j)
 
     # -- sizes and serialization --------------------------------------
 

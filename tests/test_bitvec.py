@@ -225,3 +225,32 @@ def test_trace_base_offset_shifts_everything():
     bv.rank1(599, trace=t0)
     bv.rank1(599, trace=t1, base=1024)
     assert [x + 1024 for x in t0] == t1
+
+
+def test_select_traces_include_the_sample_count_words():
+    # The 1-sample count sits right after the rank directory, at word
+    # d + length // 512; the 0-sample count follows the 1-samples.
+    n = 70_000
+    bv = BitVector.from_bits(rng_bits(n, 0.5, seed=5))
+    ones_at = 8 * (2 + (n + 63) // 64 + n // 512)
+    zeros_at = ones_at + 8 * (1 + bv.num_ones // 8192)
+    for j in (1, 8192, 20_000, bv.num_ones):
+        t = []
+        assert bv.select1(j, trace=t) == bv.select1(j)
+        assert ones_at in t and zeros_at not in t
+    for j in (1, 8192, bv.num_zeros):
+        t = []
+        assert bv.select0(j, trace=t) == bv.select0(j)
+        assert ones_at in t and zeros_at in t
+
+
+def test_load_rejects_a_wrong_sample_count():
+    n = 70_000
+    bv = BitVector.from_bits(rng_bits(n, 0.5, seed=5))
+    ones_at = 8 * (2 + (n + 63) // 64 + n // 512)
+    zeros_at = ones_at + 8 * (1 + bv.num_ones // 8192)
+    for at in (ones_at, zeros_at):
+        blob = bytearray(bv.to_bytes())
+        blob[at] ^= 1
+        with pytest.raises(ValueError):
+            BitVector.from_bytes(bytes(blob))

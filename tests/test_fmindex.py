@@ -3,6 +3,7 @@ import pytest
 
 from waveletforest.fmindex import Bwt, FmIndex, build_bwt
 from waveletforest.wforest import WaveletForest
+from waveletforest.wtree import WaveletTree
 
 from oracles import naive_bwt, naive_count
 
@@ -223,3 +224,48 @@ def test_bwt_dataclass_fields():
     bwt = Bwt(alphabet_bits=2, primary_index=0,
               transformed=np.array([4], dtype=np.uint8))
     assert bwt.sentinel == 4
+
+
+def test_sixteen_bit_alphabet_is_rejected():
+    with pytest.raises(ValueError, match="alphabet_bits"):
+        FmIndex.build(np.array([1, 2, 3], np.uint16), 16)
+    with pytest.raises(ValueError, match="alphabet_bits"):
+        build_bwt(np.array([1, 2, 3], np.uint16), 16)
+
+
+def test_fifteen_bit_alphabet_counts_correctly():
+    rng = np.random.default_rng(31)
+    text = rng.choice([0, 7, 4096, 32767], 1500).astype(np.uint16)
+    for backend, bl in (("tree", None), ("forest", 256)):
+        fm = FmIndex.build(text, 15, backend=backend, block_len=bl)
+        assert fm.sentinel == 32768
+        for m in (1, 2, 3, 5):
+            for _ in range(10):
+                start = int(rng.integers(0, len(text) - m + 1))
+                pat = text[start:start + m].tolist()
+                assert fm.count(pat) == naive_count(text.tolist(), pat)
+        assert fm.count([1]) == 0
+
+
+@pytest.mark.parametrize("kind", ["tree", "forest", "fm"])
+def test_every_truncated_load_raises_value_error(kind):
+    text = np.random.default_rng(37).integers(0, 16, 3000).astype(np.uint8)
+    cls, structure = {
+        "tree": (WaveletTree, lambda: WaveletTree.build(text, 4)),
+        "forest": (WaveletForest, lambda: WaveletForest.build(text, 500, 4)),
+        "fm": (FmIndex, lambda: FmIndex.build(text, 4, backend="forest",
+                                              block_len=500)),
+    }[kind]
+    blob = structure().to_bytes()
+    for end in range(0, len(blob), 8):
+        with pytest.raises(ValueError):
+            cls.from_bytes(blob[:end])
+
+
+def test_load_rejects_a_header_that_disagrees_with_the_backend():
+    fm = FmIndex.build(ABRA, 8, backend="forest", block_len=4)
+    for word in (1, 2, 3, 3 + ord("b"), 3 + 256):  # n, primary, C entries
+        blob = bytearray(fm.to_bytes())
+        blob[8 * word] ^= 0x10
+        with pytest.raises(ValueError):
+            FmIndex.from_bytes(bytes(blob))

@@ -307,3 +307,41 @@ def test_serialized_bytes_match_golden_digests(bits):
                                       bits).to_bytes()
     for key, blob in got.items():
         assert hashlib.sha256(blob).hexdigest() == want[key], key
+
+
+def _count_words(tree, base):
+    """Byte offsets of every node's 1-sample and 0-sample count words."""
+    ones, zeros = set(), set()
+    for idx in range(tree.node_count):
+        bv = tree.node(idx)
+        at = (base + tree.node_offset(idx)
+              + 8 * (2 + (len(bv) + 63) // 64 + len(bv) // 512))
+        ones.add(at)
+        zeros.add(at + 8 * (1 + bv.num_ones // 8192))
+    return ones, zeros
+
+
+def test_select_traces_include_the_sample_count_words():
+    rng = np.random.default_rng(23)
+    text = rng.integers(0, 16, 40_000).astype(np.uint8)
+    wt = WaveletTree.build(text, 4)
+    wf = WaveletForest.build(text, 5000, 4)
+    for c in range(16):
+        for j in (1, int(wt.histogram[c])):
+            for structure in (wt, wf):
+                t = []
+                at = structure.select(c, j, trace=t)
+                if structure is wt:
+                    tree, base = wt, 0
+                else:
+                    k = (at - 1) // wf.block_len
+                    tree = wf.block(k)
+                    base = wf.block_section_offset(k) + 8 * 16
+                ones, zeros = _count_words(tree, base)
+                table = tree.code_table
+                length, code = table.lengths[c], table.codes[c]
+                clear = sum(not (code >> s) & 1 for s in range(length))
+                # One node per code bit: each read its 1-sample count,
+                # and those selecting a clear bit their 0-sample count.
+                assert len(ones & set(t)) == length
+                assert len(zeros & set(t)) == clear
