@@ -1,4 +1,5 @@
-"""Word-level helpers shared by the packed structures."""
+"""Word-level helpers shared by the packed structures, and the one
+encoding of a section's header word: a 4-byte magic, then byte fields."""
 
 from __future__ import annotations
 
@@ -6,9 +7,33 @@ import sys
 
 import numpy as np
 
-WORD_BITS = 64
-
 _U64 = np.dtype("<u8")
+
+
+def _ceil8(x):
+    """x rounded up to a multiple of 8; works on ints and int64 arrays."""
+    return (x + 7) & ~7
+
+
+def header_word(magic: bytes, *fields: int) -> int:
+    """A section's leading word: magic, then the byte fields, zero-filled."""
+    return int.from_bytes(magic + bytes(fields).ljust(4, b"\0"), "little")
+
+
+def header_fields(word, magic: bytes, what: str, version: int | None = None,
+                  max_bits: int = 16) -> int:
+    """Check a section's header word: magic, version byte if one is
+    given, then alphabet_bits in 1..max_bits (trees hold at most 16),
+    which it returns."""
+    raw = int(word).to_bytes(8, "little")
+    if raw[:4] != magic:
+        raise ValueError(f"bad {what} magic")
+    if version is not None and raw[4] != version:
+        raise ValueError(f"unsupported {what} version {raw[4]}")
+    bits = raw[4 if version is None else 5]
+    if not 1 <= bits <= max_bits:
+        raise ValueError(f"{what} alphabet_bits {bits} outside 1..{max_bits}")
+    return bits
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -32,24 +57,19 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
 
 
 def select_in_word(word: int, j: int) -> int:
-    """0-based offset of the j-th (1-based) set bit of a 64-bit word.
-
-    The caller guarantees the word holds at least j set bits.
-    """
-    for shift in range(0, 64, 8):
-        byte = (word >> shift) & 0xFF
-        c = byte.bit_count()
-        if j <= c:
-            while True:
-                low = byte & 1
-                byte >>= 1
-                if low:
-                    j -= 1
-                    if j == 0:
-                        return shift
-                shift += 1
-        j -= c
-    raise ValueError("word holds fewer than j set bits")
+    """0-based offset of the j-th (1-based) set bit of a 64-bit word, by
+    halving: skip the window's low half while it holds fewer than j set
+    bits. Raises ValueError when the word holds fewer than j."""
+    if not 1 <= j <= word.bit_count():
+        raise ValueError("word holds fewer than j set bits")
+    pos = 0
+    for width in (32, 16, 8, 4, 2, 1):
+        c = (word & ((1 << width) - 1)).bit_count()
+        if c < j:
+            j -= c
+            word >>= width
+            pos += width
+    return pos
 
 
 def select_in_words(words: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -74,29 +74,17 @@ class LocalitySummary:
     queries: int
 
 
-def structure_kind(structure) -> str:
-    if isinstance(structure, FmIndex):
-        return structure.backend_kind
-    return "forest" if isinstance(structure, WaveletForest) else "tree"
-
-
-def derived_block_bytes(structure) -> int:
-    """Block size in bytes, 0 for monolithic trees."""
-    if isinstance(structure, FmIndex):
-        structure = structure.backend
-    if isinstance(structure, WaveletForest):
-        return structure.block_len * structure.alphabet_bits // 8
-    return 0
-
-
 def _meta(structure, block_bytes):
-    if isinstance(structure, FmIndex):
-        n, bits = structure.n, structure.alphabet_bits
-    else:
-        n, bits = len(structure), structure.alphabet_bits
+    """Kind, alphabet bits, block bytes (0 for a tree; derived when None),
+    symbols and size; an FM-index has its backend's kind and blocks."""
+    fm = isinstance(structure, FmIndex)
+    trees = structure.backend if fm else structure
+    forest = isinstance(trees, WaveletForest)
     if block_bytes is None:
-        block_bytes = derived_block_bytes(structure)
-    return structure_kind(structure), bits, block_bytes, n, structure.size_bytes()
+        block_bytes = trees.block_len * trees.alphabet_bits // 8 if forest else 0
+    return ("forest" if forest else "tree", structure.alphabet_bits,
+            block_bytes, structure.n if fm else len(structure),
+            structure.size_bytes())
 
 
 def _results(structure, block_bytes, query_kind, timings):

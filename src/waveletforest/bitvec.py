@@ -13,6 +13,9 @@ of the packed bits and that of the rank directory, so wavelet trees and
 forests run them directly on the bitvector sections inside their own
 buffers.
 
+Trees and forests take the section geometry from here alone:
+section_offsets, section_words and WORDS_AT.
+
 There is one query path. A public query given a trace list reads
 through a view that records the byte offset of every word it serves
 (_bits.TracedWords), so a trace is exactly the words the query read;
@@ -23,12 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._bits import (WordBuffer, inside, pack_bits, popcount_words, ranges,
-                    read_words, select_in_word, select_in_words, truncated,
-                    word_view)
+from ._bits import (_U64, WordBuffer, header_word, inside, pack_bits,
+                    popcount_words, ranges, read_words, select_in_word,
+                    select_in_words, truncated, word_view)
 
 MAGIC = b"WFBV"
-MAGIC_WORD = int.from_bytes(MAGIC + bytes(4), "little")
+MAGIC_WORD = header_word(MAGIC)
 
 SUPER_BITS = 512
 SELECT_SAMPLE = 8192
@@ -41,9 +44,14 @@ SELECT_SAMPLE = 8192
 #      count of 1-samples (u64), then the samples
 #      count of 0-samples (u64), then the samples
 # All integers little-endian; every section lands 8-byte aligned.
-_WORDS_AT = 2  # word index of the packed bits within a section
+WORDS_AT = 2  # word index of the packed bits within a section
 
-_U64 = np.dtype("<u8")
+
+def section_offsets(starts, lengths):
+    """Word offsets of the packed words and of the rank directory of the
+    sections at starts of lengths bits; ints or int64 arrays."""
+    words_at = starts + WORDS_AT
+    return words_at, words_at + (lengths + 63) // 64
 
 
 def section_words(length, ones):
@@ -63,13 +71,14 @@ def read_sections(buf, starts):
     lengths = read_words(buf, starts + 1, 64 * len(buf))
     nwords = (lengths + 63) // 64
     ndir = lengths // SUPER_BITS
-    dir_end = starts + _WORDS_AT + nwords + ndir
+    words_at, dir_at = section_offsets(starts, lengths)
+    dir_end = dir_at + ndir
     if (dir_end >= len(buf)).any():  # the 1-sample count follows
         raise truncated()
     ones = np.where(ndir > 0, buf[dir_end - 1], 0).astype(np.int64)
     tail = nwords - 8 * ndir
     np.add.at(ones, np.repeat(np.arange(len(starts)), tail),
-              popcount_words(buf[ranges(starts + _WORDS_AT + 8 * ndir, tail)]))
+              popcount_words(buf[ranges(words_at + 8 * ndir, tail)]))
     sizes = section_words(lengths, ones)
     if (starts + sizes > len(buf)).any():
         raise truncated()
@@ -84,9 +93,9 @@ def read_sections(buf, starts):
 
 def write_sections(buf, starts, lengths, ones) -> None:
     """Complete the bitvector sections that start at word offsets
-    `starts` of buf: each section's packed words must already sit at
-    start + 2; this writes the header, rank directory and select
-    samples of all of them in a few array passes."""
+    `starts` of buf: each section's packed words must already sit where
+    section_offsets puts them; this writes the header, rank directory
+    and select samples of all of them in a few array passes."""
     starts = np.asarray(starts, np.int64)
     lengths = np.asarray(lengths, np.int64)
     ones = np.asarray(ones, np.int64)
@@ -95,8 +104,9 @@ def write_sections(buf, starts, lengths, ones) -> None:
     ndir = lengths // SUPER_BITS
     buf[starts] = MAGIC_WORD
     buf[starts + 1] = lengths
+    words_at, dir_at = section_offsets(starts, lengths)
 
-    words = buf[ranges(starts + _WORDS_AT, nwords)]
+    words = buf[ranges(words_at, nwords)]
     first = np.cumsum(nwords) - nwords  # each section's first word in `words`
     pc = popcount_words(words)
     zc = 64 - pc
@@ -107,7 +117,6 @@ def write_sections(buf, starts, lengths, ones) -> None:
     cum1 = np.concatenate([[0], np.cumsum(pc)])
     sec = np.repeat(np.arange(nsec), ndir)
     entry = ranges(np.zeros(nsec, np.int64), ndir)
-    dir_at = starts + _WORDS_AT + nwords
     buf[dir_at[sec] + entry] = (cum1[first[sec] + 8 * entry + 8]
                                 - cum1[first[sec]])
 
@@ -191,7 +200,7 @@ def select(mv, w: int, d: int, length: int, j: int, ones: bool) -> int:
 
 
 class BitVector(WordBuffer):
-    __slots__ = ("_length", "_num_ones", "_words", "_dir")
+    __slots__ = ("_length", "_num_ones", "_dir_at", "_words", "_dir")
 
     def __init__(self, buf: np.ndarray):
         """Wrap the u64 words of a serialized bitvector section."""
@@ -200,9 +209,9 @@ class BitVector(WordBuffer):
         self._mv = word_view(self._buf)
         self._length = length = int(length)
         self._num_ones = int(ones)
-        dir_at = _WORDS_AT + (length + 63) // 64
-        self._words = self._buf[_WORDS_AT:dir_at]
-        self._dir = self._buf[dir_at:dir_at + length // SUPER_BITS]
+        words_at, self._dir_at = section_offsets(0, length)
+        self._words = self._buf[words_at:self._dir_at]
+        self._dir = self._buf[self._dir_at:self._dir_at + length // SUPER_BITS]
 
     # -- construction ------------------------------------------------
 
@@ -224,7 +233,7 @@ class BitVector(WordBuffer):
             raise ValueError("word count does not match length")
         ones = int(popcount_words(words).sum())
         buf = np.zeros(section_words(length, ones), _U64)
-        buf[_WORDS_AT:_WORDS_AT + len(words)] = words
+        buf[WORDS_AT:WORDS_AT + len(words)] = words
         write_sections(buf, [0], [length], [ones])
         return cls(buf)
 
@@ -246,14 +255,13 @@ class BitVector(WordBuffer):
         if i < 1 or i > self._length:
             raise IndexError(f"position {i} out of range 1..{self._length}")
         mv = self._reader(trace, base)
-        return (mv[_WORDS_AT + ((i - 1) >> 6)] >> ((i - 1) & 63)) & 1
+        return (mv[WORDS_AT + ((i - 1) >> 6)] >> ((i - 1) & 63)) & 1
 
     def rank1(self, i: int, trace=None, base: int = 0) -> int:
         """Number of set bits in positions 1..i; rank1(0) is 0."""
         if i < 0 or i > self._length:
             raise IndexError(f"position {i} out of range 0..{self._length}")
-        return rank1(self._reader(trace, base), _WORDS_AT,
-                     _WORDS_AT + len(self._words), i)
+        return rank1(self._reader(trace, base), WORDS_AT, self._dir_at, i)
 
     def rank0(self, i: int, trace=None, base: int = 0) -> int:
         """Number of clear bits in positions 1..i."""
@@ -263,13 +271,13 @@ class BitVector(WordBuffer):
         """Position of the j-th (1-based) set bit."""
         if j < 1 or j > self._num_ones:
             raise ValueError(f"ordinal {j} out of range 1..{self._num_ones}")
-        return select(self._reader(trace, base), _WORDS_AT,
-                      _WORDS_AT + len(self._words), self._length, j, True)
+        return select(self._reader(trace, base), WORDS_AT, self._dir_at,
+                      self._length, j, True)
 
     def select0(self, j: int, trace=None, base: int = 0) -> int:
         """Position of the j-th (1-based) clear bit."""
         zeros = self._length - self._num_ones
         if j < 1 or j > zeros:
             raise ValueError(f"ordinal {j} out of range 1..{zeros}")
-        return select(self._reader(trace, base), _WORDS_AT,
-                      _WORDS_AT + len(self._words), self._length, j, False)
+        return select(self._reader(trace, base), WORDS_AT, self._dir_at,
+                      self._length, j, False)

@@ -15,13 +15,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import bench as bench_mod
-from . import fmindex, wforest, wtree
 from .bench import (DEFAULT_GRANULARITIES, aggregate_locality, emit_csv,
-                    gen_count_patterns, gen_rank_queries, profile_access,
-                    profile_count, profile_rank, run_access_bench,
-                    run_count_bench, run_rank_bench)
-from .fmindex import FmIndex
+                    gen_rank_queries, profile_access, profile_count,
+                    profile_rank, run_access_bench, run_count_bench,
+                    run_rank_bench)
+from .fmindex import STRUCTURES, FmIndex
 from .textgen import gen_query_positions, iter_gen_chunks, reinterpret
 from .wforest import WaveletForest
 from .wtree import WaveletTree
@@ -53,14 +51,10 @@ def _block_len(block_bytes: int, alphabet_bits: int) -> int:
 def _load_structure(path: str):
     with open(path, "rb") as fh:
         blob = fh.read()
-    magic = blob[:4]
-    if magic == wtree.MAGIC:
-        return WaveletTree.from_bytes(blob)
-    if magic == wforest.MAGIC:
-        return WaveletForest.from_bytes(blob)
-    if magic == fmindex.MAGIC:
-        return FmIndex.from_bytes(blob)
-    raise ValueError(f"{path}: unrecognized structure file")
+    kind = STRUCTURES.get(blob[:4])
+    if kind is None:
+        raise ValueError(f"{path}: unrecognized structure file")
+    return kind.from_bytes(blob)
 
 
 def cmd_gen(args) -> int:
@@ -83,13 +77,12 @@ def cmd_build(args) -> int:
     if args.structure == "tree":
         if args.block_bytes is not None:
             raise ValueError("--block-bytes only applies to --structure forest")
-        structure = WaveletTree.build(seq.symbols, bits, validate=False)
+        structure = WaveletTree.build(seq.symbols, bits)
     else:
         if args.block_bytes is None:
             raise ValueError("--structure forest requires --block-bytes")
         block_len = _block_len(args.block_bytes, bits)
-        structure = WaveletForest.build(seq.symbols, block_len, bits,
-                                        validate=False)
+        structure = WaveletForest.build(seq.symbols, block_len, bits)
     blob = structure.to_bytes()
     with open(args.out, "wb") as fh:
         fh.write(blob)
@@ -98,19 +91,35 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _granularities(args) -> tuple[int, ...]:
-    return tuple(args.granularity) if args.granularity else DEFAULT_GRANULARITIES
+def _text_patterns(fm, seed: int, count: int, length: int):
+    """count patterns of length symbols cut from the FM-index's text, by
+    walking length LF steps back from rows drawn from the seed; a walk
+    that meets the sentinel starts again from the next row."""
+    if not 1 <= length <= fm.n:
+        raise ValueError(f"pattern length must be in 1..{fm.n}")
+    patterns = []
+    for row in gen_query_positions(seed, count, fm.n + 1):
+        pattern, r = [], row - 1
+        while len(pattern) < length:
+            c = fm.bwt_symbol(r)
+            if c == fm.sentinel:
+                row = row % (fm.n + 1) + 1
+                pattern, r = [], row - 1
+            else:
+                pattern.append(c)
+                r = fm.lf_step(r)
+        patterns.append(pattern[::-1])
+    return patterns
 
 
-def _bench_one(structure, kind, args, block_bytes=None):
-    """Time one structure and optionally profile locality; returns
-    (bench rows, locality rows)."""
+def _bench_one(structure, kind, args, block_bytes=None) -> None:
+    """Time one structure and optionally profile locality; appends the
+    rows to the CSV files and prints them."""
     q = args.queries
     if isinstance(structure, FmIndex):
         if kind != "count":
             raise ValueError("access/rank benchmarks need a tree or forest file")
-        sigma = 1 << structure.alphabet_bits
-        patterns = gen_count_patterns(args.seed, q, args.pattern_len, sigma)
+        patterns = _text_patterns(structure, args.seed, q, args.pattern_len)
         rows = run_count_bench(structure, patterns, args.repeats, block_bytes)
         traced = patterns[: min(q, 1000)]
         tracer = lambda p: profile_count(structure, p)[1]
@@ -128,16 +137,12 @@ def _bench_one(structure, kind, args, block_bytes=None):
     else:
         raise ValueError("count benchmarks need an FM-index file")
 
-    locality = []
+    emit_csv(rows, args.csv)
     if args.locality_csv:
         traces = [tracer(item) for item in traced]
-        for g in _granularities(args):
-            locality.append(aggregate_locality(structure, traces, g,
-                                               block_bytes))
-    return rows, locality
-
-
-def _report(rows):
+        emit_csv([aggregate_locality(structure, traces, g, block_bytes)
+                  for g in args.granularity or DEFAULT_GRANULARITIES],
+                 args.locality_csv)
     for r in rows:
         print(f"{r.structure} bits={r.alphabet_bits} block_bytes={r.block_bytes} "
               f"{r.query_kind} queries={r.queries} repeat={r.repeat}: "
@@ -145,12 +150,7 @@ def _report(rows):
 
 
 def cmd_bench(args) -> int:
-    structure = _load_structure(args.structure_file)
-    rows, locality = _bench_one(structure, args.query_kind, args)
-    emit_csv(rows, args.csv)
-    if args.locality_csv:
-        emit_csv(locality, args.locality_csv)
-    _report(rows)
+    _bench_one(_load_structure(args.structure_file), args.query_kind, args)
     return 0
 
 
@@ -169,21 +169,12 @@ def cmd_sweep(args) -> int:
         seq = reinterpret(raw, bits)
         symbols = seq.symbols
         print(f"[sweep] {bits}-bit alphabet, {len(seq)} symbols")
-        tree = WaveletTree.build(symbols, bits, validate=False)
-        rows, locality = _bench_one(tree, kind, args, block_bytes=0)
-        emit_csv(rows, args.csv)
-        if args.locality_csv:
-            emit_csv(locality, args.locality_csv)
-        _report(rows)
+        tree = WaveletTree.build(symbols, bits)
+        _bench_one(tree, kind, args, block_bytes=0)
         del tree
         for bb in block_sizes:
-            forest = WaveletForest.build(symbols, _block_len(bb, bits),
-                                         bits, validate=False)
-            rows, locality = _bench_one(forest, kind, args, block_bytes=bb)
-            emit_csv(rows, args.csv)
-            if args.locality_csv:
-                emit_csv(locality, args.locality_csv)
-            _report(rows)
+            forest = WaveletForest.build(symbols, _block_len(bb, bits), bits)
+            _bench_one(forest, kind, args, block_bytes=bb)
             del forest
     return 0
 

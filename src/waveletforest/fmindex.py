@@ -18,19 +18,24 @@ is a view of the array's backend section.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import wforest, wtree
-from ._bits import WordBuffer, truncated, word_view
+from ._bits import (_U64, WordBuffer, _ceil8, header_fields, header_word,
+                    truncated, word_view)
 from .wforest import WaveletForest
-from .wtree import _U64, WaveletTree, _as_symbol_array, _ceil8
+from .wtree import WaveletTree, _as_symbol_array
 
 MAGIC = b"WFFM"
 
 # The sentinel needs one more alphabet bit, and trees hold at most 16.
 MAX_ALPHABET_BITS = 15
+
+# Longest text whose suffix sort keys, below (n + 2)^2, fit in int64.
+_MAX_TEXT = math.isqrt(np.iinfo(np.int64).max) - 2
 
 # Serialized layout, offsets relative to the section start:
 #   0  magic "WFFM", alphabet_bits u8, 3 zero bytes
@@ -66,18 +71,22 @@ class Bwt:
         return 1 << self.alphabet_bits
 
 
-def build_bwt(symbols, alphabet_bits: int, validate: bool = True) -> Bwt:
+def build_bwt(symbols, alphabet_bits: int) -> Bwt:
     """BWT of the text extended with its unique smallest sentinel.
 
     Raises ValueError unless alphabet_bits is in 1..MAX_ALPHABET_BITS
-    (15): the sentinel 2^alphabet_bits widens the alphabet by one bit."""
+    (15): the sentinel 2^alphabet_bits widens the alphabet by one bit.
+    Raises ValueError for an empty text, and for one longer than
+    _MAX_TEXT (about 3.0e9), whose suffix sort keys would overflow int64."""
     if alphabet_bits > MAX_ALPHABET_BITS:
         raise ValueError(f"FM-index alphabet_bits must be in "
                          f"1..{MAX_ALPHABET_BITS}")
-    arr = _as_symbol_array(symbols, alphabet_bits, validate)
+    arr = _as_symbol_array(symbols, alphabet_bits)
     n = int(arr.size)
     if n == 0:
         raise ValueError("cannot transform an empty text")
+    if n > _MAX_TEXT:
+        raise ValueError(f"text of {n} symbols is too long to transform")
     # Sentinel gets sort key 0, text symbols shift up by one.
     keys = np.zeros(n + 1, dtype=np.int64)
     keys[:n] = arr.astype(np.int64) + 1
@@ -94,25 +103,21 @@ def build_bwt(symbols, alphabet_bits: int, validate: bool = True) -> Bwt:
 
 def _suffix_array(keys: np.ndarray) -> np.ndarray:
     """Suffix ordering by prefix doubling; keys must end in a unique
-    minimum so every suffix comparison resolves."""
+    minimum so every suffix comparison resolves. Each round sorts the
+    int64 keys rank * (n + 1) + (rank k suffixes later + 1, or 0 past the
+    end), below (n + 1)^2; equal keys get equal ranks, so any sort will do."""
     n = len(keys)
-    order = np.argsort(keys, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    srt = keys[order]
-    steps = np.concatenate([[0], (srt[1:] != srt[:-1]).astype(np.int64)])
-    rank[order] = np.cumsum(steps)
-    k = 1
-    while int(rank[order[-1]]) != n - 1:
-        second = np.full(n, -1, dtype=np.int64)
-        second[: n - k] = rank[k:]
-        order = np.lexsort((second, rank))
-        r, s = rank[order], second[order]
-        steps = np.concatenate(
-            [[0], ((r[1:] != r[:-1]) | (s[1:] != s[:-1])).astype(np.int64)])
+    key, k = keys, 1
+    while True:
+        order = np.argsort(key)
+        srt = key[order]
         rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.cumsum(steps)
+        rank[order] = np.cumsum(np.concatenate([[0], srt[1:] != srt[:-1]]))
+        if int(rank[order[-1]]) == n - 1:
+            return order
+        key = rank * (n + 1)
+        key[:n - k] += rank[k:] + 1
         k <<= 1
-    return order
 
 
 class FmIndex(WordBuffer):
@@ -122,19 +127,13 @@ class FmIndex(WordBuffer):
         """Wrap the u64 words of a serialized FM-index."""
         if len(buf) < _C_AT:
             raise truncated()
-        raw = int(buf[0]).to_bytes(8, "little")
-        if raw[:4] != MAGIC:
-            raise ValueError("bad FM-index magic")
-        bits = raw[4]
-        if not 1 <= bits <= MAX_ALPHABET_BITS:
-            raise ValueError(f"FM-index alphabet_bits {bits} outside "
-                             f"1..{MAX_ALPHABET_BITS}")
+        bits = header_fields(buf[0], MAGIC, "FM-index",
+                             max_bits=MAX_ALPHABET_BITS)
         back_at = _backend_at(bits)
         if len(buf) <= back_at:
             raise truncated()
-        kind = {wtree.MAGIC: WaveletTree, wforest.MAGIC: WaveletForest}.get(
-            int(buf[back_at]).to_bytes(8, "little")[:4])
-        if kind is None:
+        kind = STRUCTURES.get(int(buf[back_at]).to_bytes(8, "little")[:4])
+        if kind not in (WaveletTree, WaveletForest):
             raise ValueError("unrecognized FM-index backend section")
         backend = kind.from_buffer(buf, 8 * back_at)[0]
         if backend.alphabet_bits != bits + 1:
@@ -165,17 +164,16 @@ class FmIndex(WordBuffer):
                  block_len: int | None = None) -> "FmIndex":
         ab = bwt.alphabet_bits
         if backend == "tree":
-            store = WaveletTree.build(bwt.transformed, ab + 1, validate=False)
+            store = WaveletTree.build(bwt.transformed, ab + 1)
         elif backend == "forest":
             if block_len is None:
                 raise ValueError("forest backend needs a block_len")
-            store = WaveletForest.build(bwt.transformed, block_len, ab + 1,
-                                        validate=False)
+            store = WaveletForest.build(bwt.transformed, block_len, ab + 1)
         else:
             raise ValueError(f"unknown backend {backend!r}")
         back_at = _backend_at(ab)
         buf = np.zeros(back_at + store.size_bytes() // 8, _U64)
-        buf[0] = int.from_bytes(MAGIC + bytes([ab, 0, 0, 0]), "little")
+        buf[0] = header_word(MAGIC, ab)
         buf[1:_C_AT] = len(bwt.transformed) - 1, bwt.primary_index
         buf[_C_AT:_C_AT + (1 << ab) + 1] = _c_array(store, ab)
         buf[back_at:] = np.frombuffer(store.to_bytes(), _U64)
@@ -242,3 +240,8 @@ class FmIndex(WordBuffer):
             if lo >= hi:
                 return 0
         return hi - lo
+
+
+# The class of every serialized structure, by the magic it starts with.
+STRUCTURES = {wtree.MAGIC: WaveletTree, wforest.MAGIC: WaveletForest,
+              MAGIC: FmIndex}

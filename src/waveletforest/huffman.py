@@ -7,6 +7,9 @@ length, each code being (previous + 1) shifted left by the length
 difference. Two builds over equal frequency maps therefore produce
 byte-identical tables, regardless of dict iteration order.
 
+build_code_table owns the lengths; canonical_codes is the one place
+that turns lengths into codes, for CodeTable and for the tree shapes.
+
 A single-symbol alphabet gets the empty code (length 0).
 """
 
@@ -14,7 +17,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 def zeroth_order_entropy(freqs) -> float:
@@ -33,16 +39,36 @@ def zeroth_order_entropy(freqs) -> float:
     return h
 
 
+def canonical_codes(lengths: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Canonical code values (u64) of the entries of many tables: lengths
+    (at most 64) ordered by (length, symbol) within each table, first[e]
+    the index of entry e's table's first entry. A code is the Kraft sum
+    of the entries before it in its table, shifted to its length."""
+    if (lengths > 64).any():
+        raise ValueError("code lengths over 64 bits")
+    shift = (64 - np.maximum(lengths, 1)).astype(np.uint64)
+    kraft = np.where(lengths > 0, np.uint64(1) << shift, np.uint64(0))
+    cum = np.cumsum(kraft, dtype=np.uint64) - kraft
+    return (cum - cum[first]) >> shift
+
+
 @dataclass
 class CodeTable:
     """Symbol -> (length, canonical code value, MSB first)."""
 
     lengths: dict[int, int]
-    codes: dict[int, int] = field(repr=False)
 
     @classmethod
     def from_lengths(cls, lengths: dict[int, int]) -> "CodeTable":
-        return cls(dict(lengths), _canonical_codes(lengths))
+        return cls(dict(lengths))
+
+    @cached_property
+    def codes(self) -> dict[int, int]:
+        """Symbol -> canonical code value, derived from the lengths."""
+        entries = self.sorted_entries()
+        lengths = np.array([ln for _, ln in entries], np.int64)
+        codes = canonical_codes(lengths, np.zeros(len(entries), np.int64))
+        return dict(zip([sym for sym, _ in entries], codes.tolist()))
 
     @property
     def sigma_effective(self) -> int:
@@ -76,7 +102,7 @@ def build_code_table(freqs) -> CodeTable:
             raise ValueError("frequencies must be positive")
     if len(items) == 1:
         sym = items[0][0]
-        return CodeTable({sym: 0}, {sym: 0})
+        return CodeTable({sym: 0})
 
     k = len(items)
     # Leaves are ids 0..k-1 (symbol order); merges append new ids, so a
@@ -96,17 +122,4 @@ def build_code_table(freqs) -> CodeTable:
     depth = [0] * (2 * k - 1)
     for node in range(root - 1, -1, -1):
         depth[node] = depth[parent[node]] + 1
-    lengths = {sym: depth[i] for i, (sym, _) in enumerate(items)}
-    return CodeTable(lengths, _canonical_codes(lengths))
-
-
-def _canonical_codes(lengths: dict[int, int]) -> dict[int, int]:
-    codes = {}
-    code = 0
-    prev = None
-    for sym, ln in sorted(lengths.items(), key=lambda kv: (kv[1], kv[0])):
-        if prev is not None:
-            code = (code + 1) << (ln - prev)
-        codes[sym] = code
-        prev = ln
-    return codes
+    return CodeTable({sym: depth[i] for i, (sym, _) in enumerate(items)})

@@ -19,9 +19,9 @@ from functools import partial
 
 import numpy as np
 
-from ._bits import read_words, truncated
-from .wtree import (_U64, WaveletTree, _as_symbol_array, _ceil8, _Trees,
-                    build_trees, header_fields, header_word)
+from ._bits import (_U64, _ceil8, header_fields, header_word, read_words,
+                    truncated)
+from .wtree import WaveletTree, _as_symbol_array, _Trees, build_trees
 
 MAGIC = b"WFWF"
 VERSION = 1
@@ -70,7 +70,7 @@ class WaveletForest(_Trees):
         """Wrap the u64 words of a serialized forest section."""
         if len(buf) < _HEADER_WORDS:
             raise truncated()
-        bits = header_fields(buf[0], MAGIC, VERSION, "wavelet forest")
+        bits = header_fields(buf[0], MAGIC, "wavelet forest", VERSION)
         n, block_len, m = (int(x) for x in buf[1:_HEADER_WORDS])
         if block_len < 1:
             raise ValueError("corrupt forest: block_len must be positive")
@@ -86,11 +86,10 @@ class WaveletForest(_Trees):
     # -- construction ------------------------------------------------
 
     @classmethod
-    def build(cls, symbols, block_len: int, alphabet_bits: int,
-              validate: bool = True) -> "WaveletForest":
+    def build(cls, symbols, block_len: int, alphabet_bits: int) -> "WaveletForest":
         if block_len < 1:
             raise ValueError("block_len must be at least 1")
-        symbols = _as_symbol_array(symbols, alphabet_bits, validate)
+        symbols = _as_symbol_array(symbols, alphabet_bits)
         n = int(symbols.size)
         buf, _ = build_trees(symbols, block_len, -(-n // block_len),
                              alphabet_bits,

@@ -22,8 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import bitvec
-from ._bits import WordBuffer, ranges, read_words, truncated, word_view
-from .huffman import CodeTable, build_code_table
+from ._bits import (_U64, WordBuffer, _ceil8, header_fields, header_word,
+                    ranges, read_words, truncated, word_view)
+from .huffman import CodeTable, build_code_table, canonical_codes
 
 MAGIC = b"WFWT"
 VERSION = 1
@@ -38,10 +39,8 @@ VERSION = 1
 #      node bitvector sections in BFS order, zero-padded so each
 #      section's packed-words array starts on a 64-byte boundary
 #      (a rank's superblock scan then never splits a cache line)
-# In words: a node section starts at a word offset congruent to 6 mod 8.
-_NODE_ALIGN = 6
-
-_U64 = np.dtype("<u8")
+# In words: a node section starts at this word offset mod 8.
+_NODE_ALIGN = -bitvec.WORDS_AT % 8
 
 # Text positions routed per array pass while building; bounds the
 # scratch memory of a build independently of the text length.
@@ -50,27 +49,6 @@ _CHUNK = 1 << 21
 # keys are then the symbols themselves, with no per-position block
 # offsets built, and the per-chunk Python work stays small beside it.
 _OWN_CHUNK = 1 << 16
-
-
-def header_word(magic: bytes, version: int, alphabet_bits: int) -> int:
-    return int.from_bytes(magic + bytes([version, alphabet_bits, 0, 0]),
-                          "little")
-
-
-def header_fields(word: int, magic: bytes, version: int, what: str) -> int:
-    """Check a section's leading word; returns its alphabet_bits."""
-    raw = int(word).to_bytes(8, "little")
-    if raw[:4] != magic:
-        raise ValueError(f"bad {what} magic")
-    if raw[4] != version:
-        raise ValueError(f"unsupported {what} version {raw[4]}")
-    if not 1 <= raw[5] <= 16:
-        raise ValueError(f"{what} alphabet_bits {raw[5]} outside 1..16")
-    return raw[5]
-
-
-def _ceil8(x):
-    return (x + 7) & ~7
 
 
 def _shape(ek, el, ncodes):
@@ -84,7 +62,7 @@ def _shape(ek, el, ncodes):
     the internal nodes at depth d hold the prefixes 2^d - inner .. 2^d - 1.
     Nodes are numbered in BFS order, tree after tree.
 
-    Returns the entries' left-aligned u64 codes, the internal node count
+    Returns the entries' u64 code values, the internal node count
     per (tree, depth), the index of each (tree, depth)'s first node, the
     depth of every node, and its left and right child: a child >= 0 is a
     node, a child < 0 the leaf of entry -child - 1.
@@ -93,10 +71,7 @@ def _shape(ek, el, ncodes):
     estart = np.cumsum(ncodes) - ncodes
     if ((el == 0) != (ncodes[ek] == 1)).any() or (el > 64).any():
         raise ValueError("code lengths do not form a prefix code")
-    kraft = np.where(el > 0, np.uint64(1) << (64 - np.maximum(el, 1))
-                     .astype(np.uint64), np.uint64(0))
-    cum = np.cumsum(kraft, dtype=np.uint64) - kraft
-    codes = cum - cum[estart[ek]]
+    codes = canonical_codes(el, estart[ek])
 
     depth = int(el.max()) + 1 if el.size else 1
     leaves = np.bincount(ek * depth + el, minlength=m * depth).reshape(m, depth)
@@ -133,8 +108,8 @@ class _Trees(WordBuffer):
     """Flat index over the tree sections of one u64 word buffer."""
 
     __slots__ = ("_n", "_alphabet_bits", "_hist", "_tree_end",
-                 "_data_words", "_root", "_entry", "_code", "_clen", "_nw",
-                 "_nd", "_nlen", "_left", "_right")
+                 "_data_words", "_root", "_entry", "_code", "_clen", "_node_at",
+                 "_nw", "_nd", "_nlen", "_left", "_right")
 
     def _index(self, buf: np.ndarray, tree_at: np.ndarray, alphabet_bits: int,
                min_end: int = 0) -> None:
@@ -145,7 +120,7 @@ class _Trees(WordBuffer):
         m = len(tree_at)
         ncodes = read_words(buf, tree_at + 2)
         for word in np.unique(buf[tree_at]).tolist():
-            if header_fields(word, MAGIC, VERSION, "wavelet tree") != alphabet_bits:
+            if header_fields(word, MAGIC, "wavelet tree", VERSION) != alphabet_bits:
                 raise ValueError("tree alphabet differs from the structure's")
         count_at = tree_at + 3 + 2 * ncodes
         nnodes = read_words(buf, count_at)
@@ -163,7 +138,6 @@ class _Trees(WordBuffer):
         starts = tree_at[nk] + read_words(buf, ranges(count_at + 1, nnodes),
                                           8 * len(buf)) // 8
         lengths, ones, sizes = bitvec.read_sections(buf, starts)
-        nwords = (lengths + 63) // 64
         tree_end = count_at + 1
         has = nnodes > 0
         last = first[has, 0] + nnodes[has] - 1
@@ -181,7 +155,6 @@ class _Trees(WordBuffer):
         root = first[:, 0].copy()
         root[lone] = -es[estart[lone]] - 1
         root[ncodes == 0] = -1
-        shift = (64 - np.maximum(el, 1)).astype(np.uint64)
 
         self._buf = buf[:max(int(tree_end.max(initial=0)), min_end)]
         self._mv = word_view(self._buf)
@@ -191,10 +164,12 @@ class _Trees(WordBuffer):
         self._data_words = np.bincount(nk, sizes, minlength=m).astype(np.int64)
         self._root = root.tolist()
         self._entry = dict(zip((ek * sigma + es).tolist(), range(len(es))))
-        self._code = np.where(el > 0, codes >> shift, 0).tolist()
+        self._code = codes.tolist()
         self._clen = el.tolist()
-        self._nw = (starts + 2).tolist()
-        self._nd = (starts + 2 + nwords).tolist()
+        self._node_at = starts
+        nw, nd = bitvec.section_offsets(starts, lengths)
+        self._nw = nw.tolist()
+        self._nd = nd.tolist()
         self._nlen = lengths.tolist()
         self._left = _leaf_symbols(left, es).tolist()
         self._right = _leaf_symbols(right, es).tolist()
@@ -397,6 +372,7 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
     buf[count_at] = nnodes
     buf[count_at[nk] + 1 + np.arange(len(nk)) - first[nk, 0]] = 8 * rel
     starts = tree_at[nk] + rel
+    words_at = bitvec.section_offsets(starts, nlen)[0]
 
     # Route every position down its block's tree, one depth at a time,
     # as in wavelet matrix construction: the positions still descending
@@ -404,13 +380,12 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
     # keeps every node's positions in one run, in text order. Runs then
     # follow their parents' order, left children first.
     entry_at = np.append(np.cumsum(ncodes) - ncodes, len(ek))
-    shifts = np.arange(63, 63 - depth, -1).astype(np.uint64)
+    level = np.arange(depth)[:, None]
     # route[d, e]: bit 0 is entry e's code bit at depth d, bit 1 says
     # whether it descends past depth d.
-    route = (((codes[None, :] >> shifts[:, None]) & np.uint64(1))
-             .astype(np.uint8)
-             | ((el[None, :] > np.arange(1, depth + 1)[:, None]) << 1)
-             .astype(np.uint8))
+    route = (((codes >> np.maximum(el - 1 - level, 0).astype(np.uint64))
+              & np.uint64(1)).astype(np.uint8)
+             | ((el > level + 1) << 1).astype(np.uint8))
     filled = np.zeros(len(nk), np.int64)  # bits already routed per node
     for lo, hi, k0, k1 in chunks:
         if not (ncodes[k0:k1] > 1).any():
@@ -437,7 +412,7 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
             bit = step & 1
             run_start = np.cumsum(run_len) - run_len
             _copy_runs(buf, np.packbits(bit, bitorder="little"), run_start,
-                       run_len, 64 * (starts[run_node] + 2) + filled[run_node])
+                       run_len, 64 * words_at[run_node] + filled[run_node])
             filled[run_node] += run_len
             if d + 1 == depth:
                 break
@@ -491,13 +466,13 @@ class WaveletTree(_Trees):
             raise truncated()
         self._n = int(buf[1])
         self._index(buf, np.zeros(1, np.int64),
-                    header_fields(buf[0], MAGIC, VERSION, "wavelet tree"))
+                    header_fields(buf[0], MAGIC, "wavelet tree", VERSION))
 
     # -- construction ------------------------------------------------
 
     @classmethod
-    def build(cls, symbols, alphabet_bits: int, validate: bool = True) -> "WaveletTree":
-        symbols = _as_symbol_array(symbols, alphabet_bits, validate)
+    def build(cls, symbols, alphabet_bits: int) -> "WaveletTree":
+        symbols = _as_symbol_array(symbols, alphabet_bits)
         n = int(symbols.size)
         buf, _ = build_trees(symbols, max(n, 1), 1, alphabet_bits, _place_tree)
         return cls(buf)
@@ -515,11 +490,11 @@ class WaveletTree(_Trees):
 
     def node_offset(self, idx: int) -> int:
         """Byte offset of node idx's bitvector section (BFS numbering)."""
-        return 8 * (self._nw[idx] - 2)
+        return 8 * int(self._node_at[idx])
 
     def node(self, idx: int) -> bitvec.BitVector:
         """Node idx's bitvector, a view of its section in this tree."""
-        return bitvec.BitVector(self._buf[self._nw[idx] - 2:])
+        return bitvec.BitVector(self._buf[self._node_at[idx]:])
 
     def access(self, i: int, trace=None, base: int = 0) -> int:
         """Symbol at position i."""
@@ -553,7 +528,7 @@ class WaveletTree(_Trees):
         return 8 * int(self._data_words[0])
 
 
-def _as_symbol_array(symbols, alphabet_bits, validate):
+def _as_symbol_array(symbols, alphabet_bits):
     if hasattr(symbols, "symbols"):  # SymbolSequence
         symbols = symbols.symbols
     if alphabet_bits < 1 or alphabet_bits > 16:
@@ -564,7 +539,6 @@ def _as_symbol_array(symbols, alphabet_bits, validate):
         arr = arr.astype(dtype)
     if arr.ndim != 1:
         raise ValueError("symbols must be one-dimensional")
-    if validate and arr.size:
-        if int(arr.max()) >= (1 << alphabet_bits):
-            raise ValueError(f"symbol out of range for {alphabet_bits}-bit alphabet")
+    if arr.size and int(arr.max()) >= (1 << alphabet_bits):
+        raise ValueError(f"symbol out of range for {alphabet_bits}-bit alphabet")
     return arr

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waveletforest._bits import select_in_word
 from waveletforest.bitvec import BitVector
 
 from oracles import NaiveBits
@@ -254,3 +255,18 @@ def test_load_rejects_a_wrong_sample_count():
         blob[at] ^= 1
         with pytest.raises(ValueError):
             BitVector.from_bytes(bytes(blob))
+
+
+def test_select_in_word_matches_a_bit_scan():
+    rng = np.random.default_rng(41)
+    words = [(1 << 64) - 1, 1, 1 << 63]
+    for density in (0.03, 0.5, 0.97):
+        for _ in range(50):
+            bits = rng.random(64) < density
+            words.append(sum(1 << b for b in np.flatnonzero(bits).tolist()))
+    for word in words:
+        ones = [b for b in range(64) if word >> b & 1]
+        for j, offset in enumerate(ones, start=1):
+            assert select_in_word(word, j) == offset
+        with pytest.raises(ValueError):
+            select_in_word(word, len(ones) + 1)

@@ -158,6 +158,20 @@ def test_bench_count_on_fm_file(tmp_path, data_file):
     assert int(rows[0]["n_symbols"]) == 1500
 
 
+def test_bench_count_patterns_occur_in_the_text(tmp_path, data_file):
+    raw = open(data_file, "rb").read()[:1600]
+    fm = FmIndex.build(reinterpret(raw, 8).symbols, 8)
+    fm_file = tmp_path / "x.fm"
+    fm_file.write_bytes(fm.to_bytes())
+    csv_path = str(tmp_path / "count.csv")
+    assert main(["bench", "--structure-file", str(fm_file),
+                 "--query-kind", "count", "--queries", "50",
+                 "--pattern-len", "2", "--repeats", "1",
+                 "--csv", csv_path]) == 0
+    # Every pattern is cut from the text, so each counts at least once.
+    assert int(read_rows(csv_path)[0]["checksum"]) >= 50
+
+
 def test_bench_kind_structure_mismatch(tmp_path, data_file, capsys):
     tfile = str(tmp_path / "t.wt")
     main(["build", "--input", data_file, "--alphabet-bits", "8",

@@ -269,3 +269,22 @@ def test_load_rejects_a_header_that_disagrees_with_the_backend():
         blob[8 * word] ^= 0x10
         with pytest.raises(ValueError):
             FmIndex.from_bytes(bytes(blob))
+
+
+def test_a_text_too_long_for_int64_sort_keys_is_rejected():
+    from waveletforest import fmindex
+    limit = fmindex._MAX_TEXT
+    assert (limit + 2) ** 2 <= np.iinfo(np.int64).max < (limit + 3) ** 2
+    # A zero-stride view: limit + 1 symbols without the memory.
+    text = np.broadcast_to(np.uint8(0), (limit + 1,))
+    with pytest.raises(ValueError, match="too long"):
+        build_bwt(text, 1)
+
+
+def test_a_backend_section_must_be_a_tree_or_forest():
+    fm = FmIndex.build(ABRA, 8)
+    inner = FmIndex.build(ABRA, 8).to_bytes()
+    back_at = len(fm.to_bytes()) - fm.backend.size_bytes()
+    blob = fm.to_bytes()[:back_at] + inner
+    with pytest.raises(ValueError, match="unrecognized FM-index backend"):
+        FmIndex.from_bytes(blob)

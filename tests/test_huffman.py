@@ -131,3 +131,13 @@ def test_canonical_reconstruction_from_lengths_alone():
     table = build_code_table(freqs)
     rebuilt = CodeTable.from_lengths(table.lengths)
     assert rebuilt.codes == table.codes
+
+
+def test_codes_longer_than_64_bits_are_rejected():
+    fib = [1, 1]
+    while len(fib) < 66:
+        fib.append(fib[-1] + fib[-2])
+    table = build_code_table(dict(enumerate(fib)))
+    assert table.max_length == 65
+    with pytest.raises(ValueError, match="64 bits"):
+        table.codes
