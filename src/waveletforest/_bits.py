@@ -42,12 +42,9 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     Bit i of the sequence ends up in word i // 64 at intra-word offset
     i % 64. The last word is zero-padded.
     """
-    n = int(bits.size)
-    nwords = (n + 63) // 64
-    out = np.zeros(nwords * 8, dtype=np.uint8)
-    if n:
-        packed = np.packbits(bits, bitorder="little")
-        out[: packed.size] = packed
+    packed = np.packbits(bits, bitorder="little")
+    out = np.zeros(-(-bits.size // 64) * 8, dtype=np.uint8)
+    out[:packed.size] = packed
     return out.view(_U64)
 
 

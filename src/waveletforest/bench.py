@@ -16,21 +16,13 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 from .fmindex import FmIndex
 from .textgen import gen_query_positions, splitmix64_words
 from .wforest import WaveletForest
 
 _MASK = (1 << 64) - 1
-
-BENCH_COLUMNS = ("structure", "alphabet_bits", "block_bytes", "n_symbols",
-                 "query_kind", "queries", "repeat", "total_ns",
-                 "ns_per_query", "struct_bytes", "checksum")
-
-LOCALITY_COLUMNS = ("structure", "alphabet_bits", "block_bytes",
-                    "granularity", "mean_distinct_regions",
-                    "mean_span_bytes", "queries")
 
 DEFAULT_GRANULARITIES = (64, 4096)
 
@@ -74,6 +66,10 @@ class LocalitySummary:
     queries: int
 
 
+BENCH_COLUMNS = tuple(f.name for f in fields(BenchResult))
+LOCALITY_COLUMNS = tuple(f.name for f in fields(LocalitySummary))
+
+
 def _meta(structure, block_bytes):
     """Kind, alphabet bits, block bytes (0 for a tree; derived when None),
     symbols and size; an FM-index has its backend's kind and blocks."""
@@ -87,30 +83,20 @@ def _meta(structure, block_bytes):
             structure.size_bytes())
 
 
-def _results(structure, block_bytes, query_kind, timings):
-    kind, bits, bb, n, size = _meta(structure, block_bytes)
-    out = []
-    for rep, (qcount, total_ns, checksum) in enumerate(timings, start=1):
-        out.append(BenchResult(
-            structure=kind, alphabet_bits=bits, block_bytes=bb,
-            n_symbols=n, query_kind=query_kind, queries=qcount, repeat=rep,
-            total_ns=total_ns,
-            ns_per_query=total_ns / qcount if qcount else 0.0,
-            struct_bytes=size, checksum=checksum & _MASK))
-    return out
-
-
 def _bench(structure, query_kind, call, args, repeats, block_bytes):
     """Time `repeats` passes of call(*a) over args, summing the answers."""
-    timings = []
-    for _ in range(repeats):
+    kind, bits, bb, n, size = _meta(structure, block_bytes)
+    out = []
+    for rep in range(1, repeats + 1):
         acc = 0
         t0 = time.perf_counter_ns()
         for a in args:
             acc += call(*a)
-        t1 = time.perf_counter_ns()
-        timings.append((len(args), t1 - t0, acc))
-    return _results(structure, block_bytes, query_kind, timings)
+        total_ns = time.perf_counter_ns() - t0
+        out.append(BenchResult(
+            kind, bits, bb, n, query_kind, len(args), rep, total_ns,
+            total_ns / len(args) if args else 0.0, size, acc & _MASK))
+    return out
 
 
 def run_access_bench(structure, positions, repeats: int = 1,
@@ -198,10 +184,9 @@ def aggregate_locality(structure, traces, granularity: int,
     return LocalitySummary(
         structure=kind, alphabet_bits=bits, block_bytes=bb,
         granularity=granularity,
-        mean_distinct_regions=(sum(p.distinct_regions for p in profiles) / q
-                               if q else 0.0),
-        mean_span_bytes=(sum(p.span_bytes for p in profiles) / q
-                         if q else 0.0),
+        mean_distinct_regions=sum(p.distinct_regions
+                                  for p in profiles) / max(q, 1),
+        mean_span_bytes=sum(p.span_bytes for p in profiles) / max(q, 1),
         queries=q)
 
 
@@ -215,11 +200,7 @@ def emit_csv(rows, dest: str) -> None:
     rows = list(rows)
     if not rows:
         return
-    if isinstance(rows[0], BenchResult):
-        columns = BENCH_COLUMNS
-    elif isinstance(rows[0], LocalitySummary):
-        columns = LOCALITY_COLUMNS
-    else:
+    if not isinstance(rows[0], (BenchResult, LocalitySummary)):
         raise ValueError(f"cannot serialize {type(rows[0]).__name__} rows")
     if not all(isinstance(r, type(rows[0])) for r in rows):
         raise ValueError("mixed row types in one CSV")
@@ -227,5 +208,5 @@ def emit_csv(rows, dest: str) -> None:
     with open(dest, "a", newline="") as fh:
         writer = csv.writer(fh)
         if need_header:
-            writer.writerow(columns)
+            writer.writerow(f.name for f in fields(rows[0]))
         writer.writerows(astuple(r) for r in rows)

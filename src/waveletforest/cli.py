@@ -30,10 +30,7 @@ DEFAULT_BLOCK_BYTES = "50000,100000,500000,1000000,5000000,10000000"
 
 
 def _parse_int_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    return [int(part) for part in text.split(",")]
+    return [int(part) for part in text.split(",")] if text.strip() else []
 
 
 def _check_alphabet(bits: int) -> int:
@@ -60,12 +57,10 @@ def _load_structure(path: str):
 def cmd_gen(args) -> int:
     if args.bytes < 0:
         raise ValueError("--bytes must be non-negative")
-    written = 0
     with open(args.out, "wb") as fh:
         for chunk in iter_gen_chunks(args.seed, args.bytes):
             fh.write(chunk)
-            written += len(chunk)
-    print(f"wrote {written} bytes to {args.out} (seed {args.seed})")
+    print(f"wrote {args.bytes} bytes to {args.out} (seed {args.seed})")
     return 0
 
 
@@ -97,6 +92,8 @@ def _text_patterns(fm, seed: int, count: int, length: int):
     that meets the sentinel starts again from the next row."""
     if not 1 <= length <= fm.n:
         raise ValueError(f"pattern length must be in 1..{fm.n}")
+    # The LF step from the symbol already read: C[c] + rank_c(row + 1) - 1.
+    c_array, backend = fm.c_array.tolist(), fm.backend
     patterns = []
     for row in gen_query_positions(seed, count, fm.n + 1):
         pattern, r = [], row - 1
@@ -107,7 +104,7 @@ def _text_patterns(fm, seed: int, count: int, length: int):
                 pattern, r = [], row - 1
             else:
                 pattern.append(c)
-                r = fm.lf_step(r)
+                r = c_array[c] + backend.rank(c, r + 1) - 1
         patterns.append(pattern[::-1])
     return patterns
 
@@ -166,9 +163,8 @@ def cmd_sweep(args) -> int:
         raw = fh.read()
 
     for bits in alphabets:
-        seq = reinterpret(raw, bits)
-        symbols = seq.symbols
-        print(f"[sweep] {bits}-bit alphabet, {len(seq)} symbols")
+        symbols = reinterpret(raw, bits).symbols
+        print(f"[sweep] {bits}-bit alphabet, {len(symbols)} symbols")
         tree = WaveletTree.build(symbols, bits)
         _bench_one(tree, kind, args, block_bytes=0)
         del tree

@@ -88,13 +88,9 @@ def build_bwt(symbols, alphabet_bits: int) -> Bwt:
     if n > _MAX_TEXT:
         raise ValueError(f"text of {n} symbols is too long to transform")
     # Sentinel gets sort key 0, text symbols shift up by one.
-    keys = np.zeros(n + 1, dtype=np.int64)
-    keys[:n] = arr.astype(np.int64) + 1
-    sa = _suffix_array(keys)
+    sa = _suffix_array(np.append(arr.astype(np.int64) + 1, 0))
     dtype = np.uint16 if alphabet_bits >= 8 else np.uint8
-    full = np.empty(n + 1, dtype=dtype)
-    full[:n] = arr
-    full[n] = 1 << alphabet_bits
+    full = np.append(arr, 1 << alphabet_bits).astype(dtype)
     transformed = full[(sa - 1) % (n + 1)]
     primary = int(np.flatnonzero(sa == 0)[0])
     return Bwt(alphabet_bits=alphabet_bits, primary_index=primary,

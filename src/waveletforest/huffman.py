@@ -1,13 +1,14 @@
 """Canonical Huffman codes with deterministic tie-breaking.
 
-Code shape is fixed by two rules: the merge heap orders subtrees by
-(total weight, smallest contained symbol), and the finished lengths are
-reassigned canonically, shortest first, symbols ascending within a
-length, each code being (previous + 1) shifted left by the length
-difference. Two builds over equal frequency maps therefore produce
-byte-identical tables, regardless of dict iteration order.
+Code shape is fixed by two rules: merges take, in each table, the two
+least subtrees by (total weight, smallest contained symbol), and the
+finished lengths are reassigned canonically, shortest first, symbols
+ascending within a length, each code being (previous + 1) shifted left
+by the length difference. Two builds over equal frequency maps therefore
+produce byte-identical tables, regardless of dict iteration order.
 
-build_code_table owns the lengths; canonical_codes is the one place
+code_lengths owns the lengths, for all tables of a build in one pass;
+build_code_table is its one-table case. canonical_codes is the one place
 that turns lengths into codes, for CodeTable and for the tree shapes.
 
 A single-symbol alphabet gets the empty code (length 0).
@@ -90,36 +91,88 @@ class CodeTable:
         return sorted(self.lengths.items(), key=lambda kv: (kv[1], kv[0]))
 
 
+_RANGE = "counts too large for 63-bit Huffman merge keys"
+
+
+def code_lengths(table, counts) -> np.ndarray:
+    """Huffman code length of every entry of many tables at once.
+
+    Entry e has count counts[e] > 0 in table table[e]; a table's entries
+    are contiguous and in symbol order, and it merges its two least
+    subtrees by (weight, smallest symbol) until one is left, so a lone
+    entry gets length 0. Each round sorts the int64 keys table base +
+    (weight << R | rank of smallest symbol) and pairs off each table's
+    least subtrees while both are below the key of its first merge.
+
+    Raises ValueError if a count is not positive, or if (sum of counts
+    + number of tables) << R exceeds 2^63, R being the bits of the
+    largest rank: a table of 2^17 symbols must weigh less than 2^46.
+    """
+    table = np.asarray(table, np.int64)
+    try:
+        counts = np.asarray(counts, np.int64)
+    except OverflowError:
+        raise ValueError(_RANGE) from None
+    n = len(counts)
+    if not n:
+        return counts
+    if counts.min() <= 0:
+        raise ValueError("frequencies must be positive")
+    cum = np.cumsum(counts)
+    starts = np.flatnonzero(np.r_[True, table[1:] != table[:-1]])
+    sizes = np.diff(starts, append=n)
+    rbits = int(sizes.max() - 1).bit_length()
+    # A wrapped int64 sum of positive counts shows as a negative prefix.
+    if cum.min() < 0 or (int(cum[-1]) + len(starts)) << rbits > 1 << 63:
+        raise ValueError(_RANGE)
+    rmask = (1 << rbits) - 1
+    base = np.repeat((cum[starts] - counts[starts]
+                      + np.arange(len(starts))) << rbits, sizes)
+    key = base + (counts << rbits) + np.arange(n) - np.repeat(starts, sizes)
+
+    def merge(a, b, base):
+        # Key of the union of subtrees a < b of one table.
+        return b + (a - base - np.maximum(a & rmask, b & rmask))
+
+    node, fresh, kids = np.arange(n), n, []
+    while True:
+        # Two sorted runs after the first round: survivors, merges.
+        order = np.argsort(key, kind="stable")
+        key, node, base = key[order], node[order], base[order]
+        # Drop the tables down to one subtree.
+        edge = np.diff(base, prepend=-1, append=-1) != 0
+        keep = ~(edge[:-1] & edge[1:])
+        key, node, base, head = (key[keep], node[keep], base[keep],
+                                 edge[:-1][keep])
+        if not len(key):
+            break
+        start = np.flatnonzero(head)
+        seg = np.cumsum(head) - 1
+        pos = np.arange(len(key)) - start[seg]
+        first = merge(key[start], key[start + 1], base[start])
+        below = (pos & 1 == 1) & (key < first[seg])
+        paired = pos < 2 * np.bincount(seg[below], minlength=len(start))[seg]
+        a, b = np.flatnonzero(paired).reshape(-1, 2).T
+        kids.append(node[paired])
+        key = np.concatenate([key[~paired], merge(key[a], key[b], base[a])])
+        base = np.concatenate([base[~paired], base[a]])
+        node = np.concatenate([node[~paired], fresh + np.arange(len(a))])
+        fresh += len(a)
+    # Merged subtrees are numbered n, n + 1, ... in merge order.
+    depth = np.zeros(fresh, np.int64)
+    for pair in reversed(kids):
+        fresh -= len(pair) // 2
+        depth[pair] = np.repeat(depth[fresh:fresh + len(pair) // 2], 2) + 1
+    return depth[:n]
+
+
 def build_code_table(freqs) -> CodeTable:
-    """Huffman code for a map of symbol -> positive count."""
+    """Huffman code for a map of symbol -> positive count (one table)."""
     items = sorted((int(s), int(w)) for s, w in freqs.items())
     if not items:
         raise ValueError("frequency map is empty")
-    for sym, w in items:
-        if sym < 0:
-            raise ValueError("symbols must be non-negative")
-        if w <= 0:
-            raise ValueError("frequencies must be positive")
-    if len(items) == 1:
-        sym = items[0][0]
-        return CodeTable({sym: 0})
-
-    k = len(items)
-    # Leaves are ids 0..k-1 (symbol order); merges append new ids, so a
-    # parent id always exceeds both children.
-    parent = [0] * (2 * k - 1)
-    heap = [(w, sym, i) for i, (sym, w) in enumerate(items)]
-    heapq.heapify(heap)
-    nxt = k
-    while len(heap) > 1:
-        w1, m1, a = heapq.heappop(heap)
-        w2, m2, b = heapq.heappop(heap)
-        parent[a] = parent[b] = nxt
-        heapq.heappush(heap, (w1 + w2, min(m1, m2), nxt))
-        nxt += 1
-
-    root = nxt - 1
-    depth = [0] * (2 * k - 1)
-    for node in range(root - 1, -1, -1):
-        depth[node] = depth[parent[node]] + 1
-    return CodeTable({sym: depth[i] for i, (sym, _) in enumerate(items)})
+    if items[0][0] < 0:
+        raise ValueError("symbols must be non-negative")
+    lengths = code_lengths(np.zeros(len(items), np.int64),
+                           [w for _, w in items])
+    return CodeTable(dict(zip([s for s, _ in items], lengths.tolist())))

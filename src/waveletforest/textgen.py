@@ -67,13 +67,10 @@ def iter_gen_chunks(seed: int, n_bytes: int):
     if n_bytes < 0:
         raise ValueError("n_bytes must be non-negative")
     nwords = (n_bytes + 7) // 8
-    emitted = 0
     for start in range(0, nwords, _CHUNK_WORDS):
         count = min(_CHUNK_WORDS, nwords - start)
         chunk = splitmix64_words(seed, start, count).astype("<u8").tobytes()
-        take = min(len(chunk), n_bytes - emitted)
-        emitted += take
-        yield chunk[:take]
+        yield chunk[:n_bytes - 8 * start]
 
 
 def gen_bytes(seed: int, n_bytes: int) -> Dataset:

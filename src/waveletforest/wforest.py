@@ -172,6 +172,5 @@ class WaveletForest(_Trees):
         return 8 * self._row_at[k]
 
     def max_block_section_bytes(self) -> int:
-        if not self._row_at:
-            return 0
-        return 8 * int((self._tree_end - np.asarray(self._row_at)).max())
+        return 8 * int((self._tree_end - np.asarray(self._row_at, np.int64))
+                       .max(initial=0))

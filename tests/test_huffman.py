@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveletforest.huffman import CodeTable, build_code_table, zeroth_order_entropy
+from waveletforest.huffman import (CodeTable, build_code_table, code_lengths,
+                                   zeroth_order_entropy)
 
-from oracles import entropy_bits, min_weighted_kraft_cost
+from oracles import entropy_bits, heap_code_lengths, min_weighted_kraft_cost
 
 
 def test_known_skewed_lengths():
@@ -141,3 +143,68 @@ def test_codes_longer_than_64_bits_are_rejected():
     assert table.max_length == 65
     with pytest.raises(ValueError, match="64 bits"):
         table.codes
+
+
+def fibonacci(terms):
+    fib = [1, 1]
+    while len(fib) < terms:
+        fib.append(fib[-1] + fib[-2])
+    return fib[:terms]
+
+
+def mixed_tables():
+    """Weight lists of 1 to 300 symbols: random, all equal, tie-heavy
+    small counts, shuffled Fibonacci runs (66 terms among them), and one
+    table of 65 536 symbols."""
+    rng = random.Random(7)
+    tables = [[5], [1, 1], fibonacci(66)]
+    for k in list(range(1, 301)) + [rng.randint(1, 300) for _ in range(300)]:
+        kind = k % 4
+        if kind == 0:
+            tables.append([rng.randint(1, 10**6) for _ in range(k)])
+        elif kind == 1:
+            tables.append([rng.choice((1, 9, 1000))] * k)
+        elif kind == 2:
+            tables.append([rng.randint(1, 3) for _ in range(k)])
+        else:
+            w = fibonacci(min(k, 40))
+            rng.shuffle(w)
+            tables.append(w)
+    tables.append([rng.randint(1, 64) for _ in range(1 << 16)])
+    return tables
+
+
+def test_one_call_over_many_tables_matches_the_heap_oracle():
+    tables = mixed_tables()
+    table = np.repeat(np.arange(len(tables)), [len(w) for w in tables])
+    got = code_lengths(table, np.concatenate(tables)).tolist()
+    want = [ln for w in tables
+            for ln in heap_code_lengths(dict(enumerate(w))).values()]
+    assert got == want
+    # The one-table case agrees as well.
+    for w in tables[:40] + [fibonacci(66)[::-1]]:
+        assert build_code_table(dict(enumerate(w))).lengths == \
+            heap_code_lengths(dict(enumerate(w)))
+
+
+def test_counts_too_large_for_the_merge_keys_are_rejected():
+    # Two symbols take one bit of rank, so the total plus one (table)
+    # must stay within 2^62.
+    assert build_code_table({0: 2**62 - 2, 1: 1}).lengths == {0: 1, 1: 1}
+    for freqs in ({0: 2**62 - 1, 1: 1}, {0: 2**63, 1: 1}, {0: 2**70}):
+        with pytest.raises(ValueError, match="63-bit"):
+            build_code_table(freqs)
+    # 2^17 symbols take 17 bits of rank, so the total must stay below
+    # 2^46.
+    counts = np.ones(1 << 17, np.int64)
+    counts[0] = 2**46 - (1 << 17) + 1
+    with pytest.raises(ValueError, match="63-bit"):
+        code_lengths(np.zeros(1 << 17, np.int64), counts)
+    # A sum that wraps int64 on the way is caught, though it ends at 0.
+    with pytest.raises(ValueError, match="63-bit"):
+        code_lengths(np.zeros(4, np.int64), [2**62] * 4)
+    # Every table adds one to the sum of the counts.
+    with pytest.raises(ValueError, match="63-bit"):
+        code_lengths(np.arange(8) // 2, [2**60 - 1, 1] * 4)
+    assert code_lengths(np.arange(8) // 2,
+                        [2**60 - 2, 1] * 4).tolist() == [1] * 8
