@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .bench import (BenchResult, LocalityProfile, LocalitySummary,
                     TouchTrace, aggregate_locality, emit_csv,
-                    gen_count_patterns, gen_rank_queries, profile_access,
+                    gen_rank_queries, gen_text_patterns, profile_access,
                     profile_count, profile_rank, profile_select,
                     run_access_bench, run_count_bench, run_rank_bench,
                     summarize_locality)
@@ -29,8 +29,8 @@ __all__ = [
     "BenchResult", "BitVector", "Bwt", "CodeTable", "Dataset", "FmIndex",
     "LocalityProfile", "LocalitySummary", "SymbolSequence", "TouchTrace",
     "WaveletForest", "WaveletTree", "aggregate_locality", "build_bwt",
-    "build_code_table", "emit_csv", "gen_bytes", "gen_count_patterns",
-    "gen_query_positions", "gen_rank_queries", "profile_access",
+    "build_code_table", "emit_csv", "gen_bytes", "gen_query_positions",
+    "gen_rank_queries", "gen_text_patterns", "profile_access",
     "profile_count", "profile_rank", "profile_select", "reinterpret",
     "run_access_bench", "run_count_bench", "run_rank_bench",
     "splitmix64_stream", "summarize_locality", "zeroth_order_entropy",

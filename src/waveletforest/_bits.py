@@ -89,25 +89,33 @@ def ranges(starts, counts) -> np.ndarray:
 
 
 def word_view(words: np.ndarray) -> memoryview:
-    """View of a little-endian u64 array whose items read as Python ints;
-    zero-copy except on big-endian hosts, which get a native-order copy."""
+    """View of a little-endian u64 array whose items read as Python ints,
+    without copying. bitvec.rank1 reads a run of words as one
+    little-endian integer, so the host must be little-endian too."""
     if sys.byteorder != "little":
-        words = words.astype("=u8")
+        raise ValueError("packed structures need a little-endian host")
     return memoryview(words).cast("B").cast("Q")
+
+
+def table(values, dtype=np.int64) -> memoryview:
+    """A query table: values as one contiguous array, read item by item
+    through a memoryview, whose items are Python ints."""
+    return memoryview(np.ascontiguousarray(values, dtype))
 
 
 class TracedWords:
     """A word view that appends base + 8 * k to trace for every word k
-    it serves: the byte offset, in the serialized layout, of each word
-    a query reads, in the order read."""
+    it serves, a slice's words in order: the byte offset, in the
+    serialized layout, of each word a query reads, in the order read."""
 
     __slots__ = ("_mv", "_trace", "_base")
 
     def __init__(self, mv, trace: list, base: int):
         self._mv, self._trace, self._base = mv, trace, base
 
-    def __getitem__(self, k: int) -> int:
-        self._trace.append(self._base + 8 * k)
+    def __getitem__(self, k):
+        span = range(k.start, k.stop) if isinstance(k, slice) else (k,)
+        self._trace.extend(self._base + 8 * j for j in span)
         return self._mv[k]
 
 

@@ -129,14 +129,27 @@ def gen_rank_queries(seed: int, count: int, n: int, sigma: int):
     return [((int(u) * sigma) >> 64, p) for u, p in zip(words, positions)]
 
 
-def gen_count_patterns(seed: int, count: int, length: int, sigma: int):
-    """`count` patterns of `length` symbols each, one stream draw per
-    symbol."""
-    if length < 1:
-        raise ValueError("pattern length must be positive")
-    words = splitmix64_words(seed, 0, count * length)
-    syms = [(int(u) * sigma) >> 64 for u in words]
-    return [syms[k * length:(k + 1) * length] for k in range(count)]
+def gen_text_patterns(fm: FmIndex, seed: int, count: int, length: int):
+    """count patterns of length symbols cut from the FM-index's text, by
+    walking length LF steps back from rows drawn from the seed; a walk
+    that meets the sentinel starts again from the next row."""
+    if not 1 <= length <= fm.n:
+        raise ValueError(f"pattern length must be in 1..{fm.n}")
+    # The LF step from the symbol already read: C[c] + rank_c(row + 1) - 1.
+    c_array, backend = fm.c_array.tolist(), fm.backend
+    patterns = []
+    for row in gen_query_positions(seed, count, fm.n + 1):
+        pattern, r = [], row - 1
+        while len(pattern) < length:
+            c = fm.bwt_symbol(r)
+            if c == fm.sentinel:
+                row = row % (fm.n + 1) + 1
+                pattern, r = [], row - 1
+            else:
+                pattern.append(c)
+                r = c_array[c] + backend.rank(c, r + 1) - 1
+        patterns.append(pattern[::-1])
+    return patterns
 
 
 # -- locality profiling -------------------------------------------------

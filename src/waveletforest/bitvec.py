@@ -77,8 +77,9 @@ def read_sections(buf, starts):
         raise truncated()
     ones = np.where(ndir > 0, buf[dir_end - 1], 0).astype(np.int64)
     tail = nwords - 8 * ndir
-    np.add.at(ones, np.repeat(np.arange(len(starts)), tail),
-              popcount_words(buf[ranges(words_at + 8 * ndir, tail)]))
+    ones += np.bincount(np.repeat(np.arange(len(starts)), tail),
+                        popcount_words(buf[ranges(words_at + 8 * ndir, tail)]),
+                        len(starts)).astype(np.int64)
     sizes = section_words(lengths, ones)
     if (starts + sizes > len(buf)).any():
         raise truncated()
@@ -145,15 +146,17 @@ def write_sections(buf, starts, lengths, ones) -> None:
 def rank1(mv, w: int, d: int, i: int) -> int:
     """Set bits among the first i bits of the vector whose packed words
     start at word w of mv and whose rank directory starts at word d.
-    The caller checks 0 <= i <= length."""
+    The caller checks 0 <= i <= length. Reads the directory entry, then
+    the words from the superblock's start through bit i: one slice read
+    as one little-endian integer, or, for a lone word, that word (a
+    slice costs more than an item there, and small nodes hit it most)."""
     if i == 0:
         return 0
-    last = w + ((i - 1) >> 6)
     s = (i - 1) >> 9
     count = mv[d + s - 1] if s else 0
-    for k in range(w + (s << 3), last):
-        count += mv[k].bit_count()
-    return count + (mv[last] & ((2 << ((i - 1) & 63)) - 1)).bit_count()
+    lo, hi = w + (s << 3), w + ((i + 63) >> 6)
+    bits = mv[lo] if hi - lo == 1 else int.from_bytes(mv[lo:hi], "little")
+    return count + (bits & ((1 << (i - (s << 9))) - 1)).bit_count()
 
 
 def select(mv, w: int, d: int, length: int, j: int, ones: bool) -> int:

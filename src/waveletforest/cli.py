@@ -16,9 +16,9 @@ import argparse
 import sys
 
 from .bench import (DEFAULT_GRANULARITIES, aggregate_locality, emit_csv,
-                    gen_rank_queries, profile_access, profile_count,
-                    profile_rank, run_access_bench, run_count_bench,
-                    run_rank_bench)
+                    gen_rank_queries, gen_text_patterns, profile_access,
+                    profile_count, profile_rank, run_access_bench,
+                    run_count_bench, run_rank_bench)
 from .fmindex import STRUCTURES, FmIndex
 from .textgen import gen_query_positions, iter_gen_chunks, reinterpret
 from .wforest import WaveletForest
@@ -86,29 +86,6 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _text_patterns(fm, seed: int, count: int, length: int):
-    """count patterns of length symbols cut from the FM-index's text, by
-    walking length LF steps back from rows drawn from the seed; a walk
-    that meets the sentinel starts again from the next row."""
-    if not 1 <= length <= fm.n:
-        raise ValueError(f"pattern length must be in 1..{fm.n}")
-    # The LF step from the symbol already read: C[c] + rank_c(row + 1) - 1.
-    c_array, backend = fm.c_array.tolist(), fm.backend
-    patterns = []
-    for row in gen_query_positions(seed, count, fm.n + 1):
-        pattern, r = [], row - 1
-        while len(pattern) < length:
-            c = fm.bwt_symbol(r)
-            if c == fm.sentinel:
-                row = row % (fm.n + 1) + 1
-                pattern, r = [], row - 1
-            else:
-                pattern.append(c)
-                r = c_array[c] + backend.rank(c, r + 1) - 1
-        patterns.append(pattern[::-1])
-    return patterns
-
-
 def _bench_one(structure, kind, args, block_bytes=None) -> None:
     """Time one structure and optionally profile locality; appends the
     rows to the CSV files and prints them."""
@@ -116,7 +93,7 @@ def _bench_one(structure, kind, args, block_bytes=None) -> None:
     if isinstance(structure, FmIndex):
         if kind != "count":
             raise ValueError("access/rank benchmarks need a tree or forest file")
-        patterns = _text_patterns(structure, args.seed, q, args.pattern_len)
+        patterns = gen_text_patterns(structure, args.seed, q, args.pattern_len)
         rows = run_count_bench(structure, patterns, args.repeats, block_bytes)
         traced = patterns[: min(q, 1000)]
         tracer = lambda p: profile_count(structure, p)[1]

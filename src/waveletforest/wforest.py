@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from ._bits import (_U64, _ceil8, header_fields, header_word, read_words,
-                    truncated)
+                    table, truncated)
 from .wtree import WaveletTree, _as_symbol_array, _Trees, build_trees
 
 MAGIC = b"WFWF"
@@ -80,7 +80,7 @@ class WaveletForest(_Trees):
                             8 * len(buf)) // 8
         self._n = n
         self._block_len = block_len
-        self._row_at = row_at.tolist()
+        self._row_at = table(row_at)
         self._index(buf, row_at + (1 << bits), bits, _HEADER_WORDS + m)
 
     # -- construction ------------------------------------------------
@@ -110,7 +110,7 @@ class WaveletForest(_Trees):
     def rank_table(self) -> np.ndarray:
         """R[k][c]: occurrences of c before block k, as a fresh copy of
         the serialized rank rows. access never reads it."""
-        at = np.asarray(self._row_at, np.int64)[:, None]
+        at = np.asarray(self._row_at)[:, None]
         return self._buf[at + np.arange(1 << self._alphabet_bits)].astype(
             np.int64)
 
@@ -172,5 +172,5 @@ class WaveletForest(_Trees):
         return 8 * self._row_at[k]
 
     def max_block_section_bytes(self) -> int:
-        return 8 * int((self._tree_end - np.asarray(self._row_at, np.int64))
+        return 8 * int((self._tree_end - np.asarray(self._row_at))
                        .max(initial=0))

@@ -10,9 +10,20 @@ one distinct symbol the tree is a bare leaf and stores no nodes.
 The serialized layout is the in-memory structure: a tree is one array of
 u64 words in the layout below, and a wavelet forest is one array holding
 a tree section per block. _Trees indexes any number of tree sections in
-such an array with flat per-node and per-entry tables, and answers
-queries on them; a WaveletTree is its one-block case. build_trees
-constructs all tree sections of a text in one pass of array operations.
+such an array, and answers queries on them; a WaveletTree is its
+one-block case. build_trees constructs all tree sections of a text in
+one pass of array operations.
+
+The index is a set of flat numpy tables, read by the queries item by
+item through memoryviews: per node its word offsets, length and
+children, per tree its root, per code-table entry its code and length,
+and a dense int32 table from (block << alphabet_bits) + symbol to the
+entry, -1 where the block lacks the symbol. That last one takes 4 bytes
+per (block, symbol), half of a forest's u64 rank rows. Loading derives
+every table and checks the sections against each other: headers, code
+tables forming complete prefix codes, node counts, offsets and bitvector
+sections inside the buffer, and each node's length against its parent's
+zero or one count, or for a root its block's symbol count.
 
 Positions are 1-based throughout, matching the bitvectors underneath.
 """
@@ -23,7 +34,7 @@ import numpy as np
 
 from . import bitvec
 from ._bits import (_U64, WordBuffer, _ceil8, header_fields, header_word,
-                    ranges, read_words, truncated, word_view)
+                    ranges, read_words, table, truncated, word_view)
 from .huffman import CodeTable, canonical_codes, code_lengths
 # Unused here: perfbench's traced run wraps wtree.build_code_table by name.
 from .huffman import build_code_table  # noqa: F401
@@ -88,29 +99,25 @@ def _shape(ek, el, ncodes):
              + np.cumsum(inner, axis=1) - inner)
     leaf_first = estart[:, None] + np.cumsum(leaves, axis=1) - leaves
 
+    # inner[:, -1] is zero, so a node's children sit one depth down: in
+    # the flat (tree, depth) cells, the cell after its own.
     cells = inner.ravel()
     cell = np.repeat(np.arange(cells.size), cells)
-    nk, nd = cell // depth, cell % depth
-    slot = 2 * ranges(np.zeros(cells.size, np.int64), cells)
-    below = np.minimum(nd + 1, depth - 1)
-    nleaf = leaves[nk, below]
-    children = [np.where(s < nleaf, -(leaf_first[nk, below] + s) - 1,
-                         first[nk, below] + s - nleaf)
-                for s in (slot, slot + 1)]
+    nd = cell % depth
+    below = cell + 1
+    nleaf = leaves.ravel()[below]
+    slot = (2 * ranges(np.zeros(cells.size, np.int64), cells)
+            + np.arange(2)[:, None])
+    children = np.where(slot < nleaf, -(leaf_first.ravel()[below] + slot) - 1,
+                        first.ravel()[below] - nleaf + slot)
     return codes, inner, first, nd, children[0], children[1]
-
-
-def _leaf_symbols(child, es):
-    """Child table with leaves re-encoded as -symbol - 1."""
-    leaf = child < 0
-    return np.where(leaf, -es[np.where(leaf, -child - 1, 0)] - 1, child)
 
 
 class _Trees(WordBuffer):
     """Flat index over the tree sections of one u64 word buffer."""
 
     __slots__ = ("_n", "_alphabet_bits", "_hist", "_tree_end",
-                 "_data_words", "_root", "_entry", "_code", "_clen", "_node_at",
+                 "_data_words", "_root", "_entry", "_code", "_clen",
                  "_nw", "_nd", "_nlen", "_left", "_right")
 
     def _index(self, buf: np.ndarray, tree_at: np.ndarray, alphabet_bits: int,
@@ -145,18 +152,30 @@ class _Trees(WordBuffer):
         last = first[has, 0] + nnodes[has] - 1
         tree_end[has] = (starts + sizes)[last]
 
+        # A root holds its whole block (word 1 of its tree section), a
+        # child its parent's zeros (left) or ones (right).
+        child = np.concatenate([left, right, first[has, 0]])
+        count = np.concatenate([lengths - ones, ones,
+                                buf[tree_at[has] + 1].astype(np.int64)])
+        node = child >= 0
+        if (lengths[child[node]] != count[node]).any():
+            raise ValueError("node lengths do not match their parents' bit counts")
         # Leaf counts: a leaf holds its parent's zeros or ones; a lone
         # symbol holds its whole block.
-        hist = np.zeros(sigma, np.int64)
         lone = ncodes == 1
-        np.add.at(hist, es[estart[lone]], buf[tree_at[lone] + 1].astype(np.int64))
-        for child, count in ((left, lengths - ones), (right, ones)):
-            leaf = child < 0
-            np.add.at(hist, es[-child[leaf] - 1], count[leaf])
+        leaf_symbol = es[-child[~node] - 1]
+        hist = np.bincount(np.concatenate([leaf_symbol, es[estart[lone]]]),
+                           np.concatenate([count[~node], buf[tree_at[lone] + 1]]),
+                           minlength=sigma).astype(np.int64)
+        child[~node] = -leaf_symbol - 1  # the query tables' leaf encoding
 
         root = first[:, 0].copy()
         root[lone] = -es[estart[lone]] - 1
         root[ncodes == 0] = -1
+        # (block << alphabet_bits) + symbol -> entry, -1 where absent.
+        entry = np.full(m << alphabet_bits, -1, np.int32)
+        entry[(ek << alphabet_bits) + es] = np.arange(len(es))
+        nw, nd = bitvec.section_offsets(starts, lengths)
 
         self._buf = buf[:max(int(tree_end.max(initial=0)), min_end)]
         self._mv = word_view(self._buf)
@@ -164,17 +183,15 @@ class _Trees(WordBuffer):
         self._hist = hist
         self._tree_end = tree_end
         self._data_words = np.bincount(nk, sizes, minlength=m).astype(np.int64)
-        self._root = root.tolist()
-        self._entry = dict(zip((ek * sigma + es).tolist(), range(len(es))))
-        self._code = codes.tolist()
-        self._clen = el.tolist()
-        self._node_at = starts
-        nw, nd = bitvec.section_offsets(starts, lengths)
-        self._nw = nw.tolist()
-        self._nd = nd.tolist()
-        self._nlen = lengths.tolist()
-        self._left = _leaf_symbols(left, es).tolist()
-        self._right = _leaf_symbols(right, es).tolist()
+        self._root = table(root)
+        self._entry = table(entry, np.int32)
+        self._code = table(codes, _U64)
+        self._clen = table(el)
+        self._nw = table(nw)
+        self._nd = table(nd)
+        self._nlen = table(lengths)
+        self._left = table(child[:len(left)])
+        self._right = table(child[len(left):2 * len(left)])
 
     # -- queries inside one tree, reading words through mv ------------
 
@@ -182,8 +199,9 @@ class _Trees(WordBuffer):
         nw, nd = self._nw, self._nd
         node = self._root[k]
         while node >= 0:
-            bit = (mv[nw[node] + ((i - 1) >> 6)] >> ((i - 1) & 63)) & 1
-            ones = bitvec.rank1(mv, nw[node], nd[node], i)
+            w = nw[node]
+            bit = (mv[w + ((i - 1) >> 6)] >> ((i - 1) & 63)) & 1
+            ones = bitvec.rank1(mv, w, nd[node], i)
             if bit:
                 i, node = ones, self._right[node]
             else:
@@ -191,8 +209,8 @@ class _Trees(WordBuffer):
         return -node - 1
 
     def _rank_in(self, mv, k: int, c: int, i: int) -> int:
-        e = self._entry.get((k << self._alphabet_bits) + c)
-        if e is None:
+        e = self._entry[(k << self._alphabet_bits) + c]
+        if e < 0:
             return 0
         nw, nd = self._nw, self._nd
         code = self._code[e]
@@ -471,11 +489,11 @@ class WaveletTree(_Trees):
 
     def node_offset(self, idx: int) -> int:
         """Byte offset of node idx's bitvector section (BFS numbering)."""
-        return 8 * int(self._node_at[idx])
+        return 8 * (self._nw[idx] - bitvec.WORDS_AT)
 
     def node(self, idx: int) -> bitvec.BitVector:
         """Node idx's bitvector, a view of its section in this tree."""
-        return bitvec.BitVector(self._buf[self._node_at[idx]:])
+        return bitvec.BitVector(self._buf[self._nw[idx] - bitvec.WORDS_AT:])
 
     def access(self, i: int, trace=None, base: int = 0) -> int:
         """Symbol at position i."""
@@ -502,7 +520,7 @@ class WaveletTree(_Trees):
 
     def total_data_bits(self) -> int:
         """Bits stored across node bitvectors (directories excluded)."""
-        return sum(self._nlen)
+        return int(np.asarray(self._nlen).sum())
 
     def data_section_bytes(self) -> int:
         """Serialized bytes of the node sections alone."""
@@ -514,12 +532,10 @@ def _as_symbol_array(symbols, alphabet_bits):
         symbols = symbols.symbols
     if alphabet_bits < 1 or alphabet_bits > 16:
         raise ValueError("alphabet_bits must be in 1..16")
-    dtype = np.uint8 if alphabet_bits <= 8 else np.uint16
     arr = np.asarray(symbols)
-    if arr.dtype != dtype:
-        arr = arr.astype(dtype)
     if arr.ndim != 1:
         raise ValueError("symbols must be one-dimensional")
-    if arr.size and int(arr.max()) >= (1 << alphabet_bits):
+    # Checked before the cast, which would wrap them into range.
+    if arr.size and (arr.min() < 0 or arr.max() >= (1 << alphabet_bits)):
         raise ValueError(f"symbol out of range for {alphabet_bits}-bit alphabet")
-    return arr
+    return arr.astype(np.uint8 if alphabet_bits <= 8 else np.uint16, copy=False)

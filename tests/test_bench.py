@@ -6,7 +6,7 @@ import pytest
 from waveletforest.bench import (BENCH_COLUMNS, LOCALITY_COLUMNS, BenchResult,
                                  LocalitySummary, TouchTrace,
                                  aggregate_locality, emit_csv,
-                                 gen_count_patterns, gen_rank_queries,
+                                 gen_rank_queries, gen_text_patterns,
                                  profile_access, profile_count, profile_rank,
                                  profile_select, run_access_bench,
                                  run_count_bench, run_rank_bench,
@@ -96,19 +96,22 @@ def test_rank_query_generation_layout():
     assert gen_rank_queries(3, 50, 1000, 16) == qs
 
 
-def test_count_pattern_generation():
-    pats = gen_count_patterns(7, 40, 5, 256)
+def test_count_pattern_generation(text):
+    fm = FmIndex.build(text[:3000], 8)
+    pats = gen_text_patterns(fm, 7, 40, 5)
     assert len(pats) == 40
     assert all(len(p) == 5 for p in pats)
     assert all(0 <= c < 256 for p in pats for c in p)
-    assert gen_count_patterns(7, 40, 5, 256) == pats
+    assert gen_text_patterns(fm, 7, 40, 5) == pats
+    # Cut from the text, every pattern occurs in it.
+    assert all(fm.count(p) >= 1 for p in pats)
     with pytest.raises(ValueError):
-        gen_count_patterns(7, 4, 0, 256)
+        gen_text_patterns(fm, 7, 4, 0)
 
 
 def test_count_bench(text):
     fm = FmIndex.build(text[:3000], 8, backend="forest", block_len=500)
-    pats = gen_count_patterns(2, 30, 2, 256)
+    pats = gen_text_patterns(fm, 2, 30, 2)
     rows = run_count_bench(fm, pats, repeats=2)
     assert len(rows) == 2
     assert rows[0].structure == "forest"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waveletforest._bits import select_in_word
+from waveletforest._bits import TracedWords, select_in_word, word_view
 from waveletforest.bitvec import BitVector
 
 from oracles import NaiveBits
@@ -270,3 +270,25 @@ def test_select_in_word_matches_a_bit_scan():
             assert select_in_word(word, j) == offset
         with pytest.raises(ValueError):
             select_in_word(word, len(ones) + 1)
+
+
+def test_traced_words_record_every_word_of_a_slice_in_order():
+    words = np.arange(10, dtype=np.uint64)
+    t = []
+    view = TracedWords(word_view(words), t, 100)
+    assert list(view[2:5]) == [2, 3, 4] and view[7] == 7
+    assert t == [116, 124, 132, 156]
+
+
+def test_traced_rank1_reads_the_directory_entry_then_every_word_to_i():
+    n = 3000
+    bits = rng_bits(n, 0.5, seed=3)
+    bv = BitVector.from_bits(bits)
+    d = 2 + (n + 63) // 64  # the rank directory's first word
+    for i in (1, 63, 64, 65, 511, 512, 513, 1000, 1536, 1537, 2999, 3000):
+        s = (i - 1) // 512
+        want = [8 * (d + s - 1)] if s else []
+        want += [8 * (2 + k) for k in range(8 * s, (i + 63) // 64)]
+        t = []
+        assert bv.rank1(i, trace=t) == int(bits[:i].sum())
+        assert t == want

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from waveletforest.cli import _text_patterns, main
+from waveletforest.bench import gen_text_patterns
+from waveletforest.cli import main
 from waveletforest.fmindex import FmIndex
 from waveletforest.textgen import gen_bytes, gen_query_positions, reinterpret
 from waveletforest.wforest import WaveletForest
@@ -187,7 +188,7 @@ def test_text_patterns_follow_a_direct_lf_walk(data_file, backend):
                 pattern.append(fm.bwt_symbol(r))
                 r = fm.lf_step(r)
         want.append(pattern[::-1])
-    assert _text_patterns(fm, 11, 40, 5) == want
+    assert gen_text_patterns(fm, 11, 40, 5) == want
 
 
 def test_bench_kind_structure_mismatch(tmp_path, data_file, capsys):

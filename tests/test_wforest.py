@@ -345,3 +345,28 @@ def test_select_traces_include_the_sample_count_words():
                 # and those selecting a clear bit their 0-sample count.
                 assert len(ones & set(t)) == length
                 assert len(zeros & set(t)) == clear
+
+
+@pytest.mark.parametrize("bits", [1, 4, 16])
+def test_dense_entry_table_edges_agree_built_and_loaded(bits):
+    # Blocks of 50 with a final short block of 17; symbols 0 and
+    # 2^bits - 1 at both ends of the first and the last block, and a
+    # block of zeros, where 2^bits - 1 has no entry.
+    top, block_len = (1 << bits) - 1, 50
+    rng = np.random.default_rng(bits)
+    text = rng.integers(0, top + 1, 4 * block_len + 17)
+    text[0], text[block_len - 1], text[-17], text[-1] = 0, top, top, 0
+    text[block_len:2 * block_len] = 0
+    built = WaveletForest.build(text, block_len, bits)
+    loaded = WaveletForest.from_bytes(built.to_bytes())
+    assert built.block_count == 5
+    n = len(text)
+    symbols = {0, top, int(text[3]), (top + 1) // 3}
+    for wf in (built, loaded):
+        assert [wf.access(i) for i in range(1, n + 1)] == text.tolist()
+        for c in symbols:
+            at = np.flatnonzero(text == c) + 1
+            for i in range(0, n + 1, 7):
+                assert wf.rank(c, i) == int((at <= i).sum())
+            assert [wf.select(c, j) for j in range(1, len(at) + 1)] == at.tolist()
+        assert wf.rank(top, 2 * block_len) == wf.rank(top, block_len)

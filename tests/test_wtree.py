@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waveletforest.fmindex import build_bwt
 from waveletforest.huffman import zeroth_order_entropy
+from waveletforest.wforest import WaveletForest
 from waveletforest.wtree import WaveletTree
 
 from oracles import naive_rank, naive_select
@@ -264,3 +266,51 @@ def test_trace_instrumentation_agrees_with_plain():
     t = []
     wt.rank(int(text[0]), 0, trace=t)
     assert t == []
+
+
+def test_out_of_range_symbols_are_rejected_before_the_cast():
+    # Cast first, 300 and -1 would wrap to 44 and 255 in a byte alphabet.
+    for bad in ([300, 5], [-1, 5], [70_000, 5]):
+        arr = np.array(bad)
+        with pytest.raises(ValueError):
+            WaveletTree.build(arr, 8)
+        with pytest.raises(ValueError):
+            WaveletForest.build(arr, 4, 8)
+        with pytest.raises(ValueError):
+            build_bwt(arr, 8)
+    with pytest.raises(ValueError):
+        WaveletTree.build(np.array([-1, 3], np.int16), 16)
+
+
+def test_load_rejects_node_lengths_that_disagree_with_the_parents_counts():
+    text = np.random.default_rng(3).integers(0, 16, 3000)
+    wt = WaveletTree.build(text, 4)
+    blob = wt.to_bytes()
+    assert wt.node_count == 15
+    # Node 0 is the root, whose length must be the tree's symbol count.
+    for idx in range(wt.node_count):
+        bad = bytearray(blob)
+        at = wt.node_offset(idx) + 8  # the node's length in bits
+        (length,) = struct.unpack_from("<Q", bad, at)
+        struct.pack_into("<Q", bad, at, length - 1)
+        with pytest.raises(ValueError):
+            WaveletTree.from_bytes(bytes(bad))
+
+
+def test_sixteen_bit_tree_reads_the_edges_of_its_entry_table():
+    rng = np.random.default_rng(16)
+    text = rng.integers(0, 1 << 16, 5000)
+    text[0], text[-1], text[2500] = 0, (1 << 16) - 1, 0
+    absent = sorted(set(range(1 << 16)) - set(text.tolist()))[::9000]
+    built = WaveletTree.build(text, 16)
+    loaded = WaveletTree.from_bytes(built.to_bytes())
+    n = len(text)
+    for wt in (built, loaded):
+        assert [wt.access(i) for i in range(1, n + 1, 7)] == text[::7].tolist()
+        for c in [0, (1 << 16) - 1, int(text[1234])] + absent:
+            for i in (0, 1, 2500, 2501, n - 1, n):
+                assert wt.rank(c, i) == int((text[:i] == c).sum())
+        assert wt.select(0, 1) == 1 and wt.select(0, 2) == 2501
+        assert wt.select((1 << 16) - 1, int((text == (1 << 16) - 1).sum())) == n
+        with pytest.raises(ValueError):
+            wt.select(absent[0], 1)
