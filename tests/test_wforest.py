@@ -370,3 +370,83 @@ def test_dense_entry_table_edges_agree_built_and_loaded(bits):
                 assert wf.rank(c, i) == int((at <= i).sum())
             assert [wf.select(c, j) for j in range(1, len(at) + 1)] == at.tolist()
         assert wf.rank(top, 2 * block_len) == wf.rank(top, block_len)
+
+
+def _golden_queries(text, bits, seed):
+    """A fixed query set over text: access at seeded positions and both
+    ends; rank at i = 0, seeded i and i = n for symbols present and absent
+    (absent from the text or from the blocks around i); select of the
+    first, a seeded and the last occurrence of every present symbol."""
+    rng = np.random.default_rng(seed)
+    n, sigma = len(text), 1 << bits
+    hist = np.bincount(text, minlength=sigma)
+    queries = [("access", i) for i in [1, n] + rng.integers(1, n + 1, 40).tolist()]
+    symbols = sorted({0, sigma - 1} | set(rng.integers(0, sigma, 6).tolist()))
+    for c in symbols:
+        for i in [0, n] + rng.integers(1, n + 1, 5).tolist():
+            queries.append(("rank", c, i))
+        if hist[c]:
+            for j in (1, int(rng.integers(1, hist[c] + 1)), int(hist[c])):
+                queries.append(("select", c, j))
+    return queries
+
+
+def _trace_digest(structure, queries):
+    """sha256 over every query's name, arguments, answer and trace (the
+    byte offset of each word read, in order), query after query."""
+    h = hashlib.sha256()
+    for name, *args in queries:
+        trace = []
+        answer = getattr(structure, name)(*args, trace=trace)
+        h.update(repr((name, args, int(answer), trace)).encode())
+    return h.hexdigest()
+
+
+# sha256 of the traces of _golden_queries on golden_text(bits), for a tree
+# and forests at block_len 1, 3, 64 and n, and at 4 bits of FM count and
+# bwt_symbol traces on a tree and a forest (block_len 64) backend. Pinned
+# from the scalar query path: any change to it must read the same words
+# in the same order and give the same answers.
+GOLDEN_TRACE_DIGESTS = {
+    1: {"tree": "aad7bc086bb19883f13c65f9755e81509a30308568df34820c43eda02b09541d",
+        1: "bc0451d09ad1a97892208b8aa853c9a207c1f6819e4ad78fd3861657f6bf32ca",
+        3: "0c89a1e565782d6ad1a52de46118a14e65d94b6cf27a56f57babf5ef4929e5ff",
+        64: "f5c462709fe56f7ece33ef6c1db7c018dfc5b0344742849f390a194900add742",
+        "n": "6a4de58d0865bc6057971c2810f04ba41a15760dc0713e66c7c304a033ee41d5"},
+    4: {"tree": "c8ff2558ac1baf2670c5fb58cd838a4e5962c0d29eada0930222499a847abf37",
+        1: "1cdb0accc7e229bdc67011d7332a353e93cf36936b65f0435b55bdf81d9b2e8e",
+        3: "960b397364e9bb8630aa4bf9b43b8a0756fb21f5bb4704b591b319495be1c088",
+        64: "0d47430b84dbc12e9e490cff0bf57d9bf8b659af91b00530651909d10093ec9c",
+        "n": "2b1e175658aae844f08d61f1b996ff7c7c00fdd1248b5d6204541f3b63653d46",
+        "fm-tree": "b0afec97b12bc56c5cc4eb0f48547ceb0b23af34c004f7d6813a2f91ecb3b842",
+        "fm-forest": "f8cac685a231c64fc3183074f59ac7a128f968f8c3d33d13151b1225c6dd50dc"},
+    8: {"tree": "0199be1dda1549452d2444b2be5fb95551b825bc1bf546482c0a3a92d90ebd86",
+        1: "c51d814c2ee6f74cd2f6cd92e9767ca12d5b4563cd9cedb5b5e72bde661ea23a",
+        3: "465d20fb0226121003af2a27e8eb4f8600a89593dc164e2a42d675011354b069",
+        64: "8a78a713e2a480531456d2b8622f03ef8f571e0fe1a124a2bc741c674a34eabc",
+        "n": "b80de19d686d0afa6ded7dde1d472662f28df0ac037f2faa1815c84945944695"},
+}
+
+
+@pytest.mark.parametrize("bits", sorted(GOLDEN_TRACE_DIGESTS))
+def test_traces_match_golden_digests(bits):
+    from waveletforest.fmindex import FmIndex
+
+    text = golden_text(bits)
+    n = len(text)
+    queries = _golden_queries(text, bits, 7000 + bits)
+    got = {"tree": _trace_digest(WaveletTree.build(text, bits), queries)}
+    for bl in (1, 3, 64, "n"):
+        wf = WaveletForest.build(text, n if bl == "n" else bl, bits)
+        got[bl] = _trace_digest(wf, queries)
+    if bits == 4:
+        rng = np.random.default_rng(7100)
+        fm_queries = [("bwt_symbol", r)
+                      for r in [0, n] + rng.integers(0, n + 1, 30).tolist()]
+        for p in rng.integers(0, n - 8, 20).tolist():
+            fm_queries.append(("count", text[p:p + 1 + p % 8].tolist()))
+        fm_queries.append(("count", [15, 15, 15, 15, 15]))
+        for backend in ("tree", "forest"):
+            fm = FmIndex.build(text, bits, backend=backend, block_len=64)
+            got["fm-" + backend] = _trace_digest(fm, fm_queries)
+    assert got == GOLDEN_TRACE_DIGESTS[bits]
