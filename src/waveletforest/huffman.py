@@ -16,7 +16,6 @@ A single-symbol alphabet gets the empty code (length 0).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property

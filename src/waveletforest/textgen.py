@@ -125,9 +125,6 @@ def gen_query_positions(seed: int, count: int, n: int) -> list[int]:
     """count positions uniform over 1..n, from the seed's stream."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    if count == 0:
-        return []
-    if n < 1:
+    if count and n < 1:
         raise ValueError("n must be positive to draw positions")
-    stream = splitmix64_stream(seed)
-    return [(next(stream) * n >> 64) + 1 for _ in range(count)]
+    return [(w * n >> 64) + 1 for w in splitmix64_words(seed, 0, count).tolist()]

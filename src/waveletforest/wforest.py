@@ -8,9 +8,11 @@ table row plus exactly one block's tree, so its reads stay inside one
 block-sized slice of the structure instead of spraying across level
 bitmaps the way a monolithic tree's do.
 
-access resolves entirely inside a block; rank adds R[k][c] to the local
-rank; select binary-searches the rank table column for the right block
-and finishes locally.
+Queries are wtree._Trees', whose one-block case is a WaveletTree; the
+forest adds only _before, its read of R[k][c]. access resolves entirely
+inside a block; rank adds R[k][c] to the local rank; select
+binary-searches the rank table column for the right block and finishes
+locally. Loading checks the block count against ceil(n / block_len).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _place_blocks(n, block_len, alphabet_bits, tree_words, counts):
 
 
 class WaveletForest(_Trees):
-    __slots__ = ("_block_len", "_row_at")
+    __slots__ = ("_row_at",)
 
     def __init__(self, buf: np.ndarray):
         """Wrap the u64 words of a serialized forest section."""
@@ -74,6 +76,9 @@ class WaveletForest(_Trees):
         n, block_len, m = (int(x) for x in buf[1:_HEADER_WORDS])
         if block_len < 1:
             raise ValueError("corrupt forest: block_len must be positive")
+        if m != -(-n // block_len):
+            raise ValueError("corrupt forest: block count disagrees with "
+                             "n and block_len")
         if m > len(buf):  # before allocating m offsets
             raise truncated()
         row_at = read_words(buf, np.arange(_HEADER_WORDS, _HEADER_WORDS + m),
@@ -91,12 +96,11 @@ class WaveletForest(_Trees):
             raise ValueError("block_len must be at least 1")
         symbols = _as_symbol_array(symbols, alphabet_bits)
         n = int(symbols.size)
-        buf, _ = build_trees(symbols, block_len, -(-n // block_len),
-                             alphabet_bits,
-                             partial(_place_blocks, n, block_len, alphabet_bits))
-        return cls(buf)
+        return cls(build_trees(symbols, block_len, -(-n // block_len),
+                               alphabet_bits, partial(_place_blocks, n,
+                                                      block_len, alphabet_bits)))
 
-    # -- queries -----------------------------------------------------
+    # -- blocks ------------------------------------------------------
 
     @property
     def block_len(self) -> int:
@@ -119,45 +123,8 @@ class WaveletForest(_Trees):
         at = self._row_at[k] + (1 << self._alphabet_bits)
         return WaveletTree(self._buf[at:self._tree_end[k]])
 
-    def access(self, i: int, trace=None, base: int = 0) -> int:
-        """Symbol at position i; resolved inside block (i-1)//block_len."""
-        if i < 1 or i > self._n:
-            raise IndexError(f"position {i} out of range 1..{self._n}")
-        k = (i - 1) // self._block_len
-        return self._access_in(self._reader(trace, base), k,
-                               i - k * self._block_len)
-
-    def rank(self, c: int, i: int, trace=None, base: int = 0) -> int:
-        """Occurrences of c in positions 1..i: R[k][c] plus a local rank."""
-        self._check_symbol(c)
-        if i < 0 or i > self._n:
-            raise IndexError(f"position {i} out of range 0..{self._n}")
-        if i == 0:
-            return 0
-        k = (i - 1) // self._block_len
-        mv = self._reader(trace, base)
-        return mv[self._row_at[k] + c] + self._rank_in(
-            mv, k, c, i - k * self._block_len)
-
-    def select(self, c: int, j: int, trace=None, base: int = 0) -> int:
-        """Position of the j-th occurrence of c."""
-        self._check_symbol(c)
-        total = int(self._hist[c])
-        if j < 1 or j > total:
-            raise ValueError(f"symbol {c} occurs {total} times, ordinal {j}")
-        # Last block whose prefix count stays below j. Row 0 is all
-        # zeros, so the search runs over rows 1..m-1.
-        mv, rows = self._reader(trace, base), self._row_at
-        lo, hi = 1, len(rows)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if mv[rows[mid] + c] >= j:
-                hi = mid
-            else:
-                lo = mid + 1
-        k = lo - 1
-        local_j = j - mv[rows[k] + c]
-        return k * self._block_len + self._select_in(mv, k, c, local_j)
+    def _before(self, mv, k: int, c: int) -> int:
+        return mv[self._row_at[k] + c]
 
     # -- sizes and serialization --------------------------------------
 

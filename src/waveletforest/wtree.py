@@ -10,9 +10,11 @@ one distinct symbol the tree is a bare leaf and stores no nodes.
 The serialized layout is the in-memory structure: a tree is one array of
 u64 words in the layout below, and a wavelet forest is one array holding
 a tree section per block. _Trees indexes any number of tree sections in
-such an array, and answers queries on them; a WaveletTree is its
-one-block case. build_trees constructs all tree sections of a text in
-one pass of array operations.
+such an array, and answers access, rank and select on them: a block,
+then a descent in its tree. A WaveletTree is the one-block case
+(block_len max(n, 1)), and a forest differs only in _before, its rank
+row read. build_trees constructs all tree sections of a text in one
+pass of array operations.
 
 The index is a set of flat numpy tables, read by the queries item by
 item through memoryviews: per node its word offsets, length and
@@ -20,10 +22,11 @@ children, per tree its root, per code-table entry its code and length,
 and a dense int32 table from (block << alphabet_bits) + symbol to the
 entry, -1 where the block lacks the symbol. That last one takes 4 bytes
 per (block, symbol), half of a forest's u64 rank rows. Loading derives
-every table and checks the sections against each other: headers, code
-tables forming complete prefix codes, node counts, offsets and bitvector
-sections inside the buffer, and each node's length against its parent's
-zero or one count, or for a root its block's symbol count.
+every table and checks the sections against each other: headers, block
+symbol counts against n and block_len, canonical code tables forming
+complete prefix codes, node counts, offsets and bitvector sections
+inside the buffer, and each node's length against its parent's zero or
+one count, or for a root its block's symbol count.
 
 Positions are 1-based throughout, matching the bitvectors underneath.
 """
@@ -82,7 +85,7 @@ def _shape(ek, el, ncodes):
     """
     m = len(ncodes)
     estart = np.cumsum(ncodes) - ncodes
-    if ((el == 0) != (ncodes[ek] == 1)).any() or (el > 64).any():
+    if ((el == 0) != (ncodes[ek] == 1)).any() or ((el < 0) | (el > 64)).any():
         raise ValueError("code lengths do not form a prefix code")
     codes = canonical_codes(el, estart[ek])
 
@@ -116,18 +119,25 @@ def _shape(ek, el, ncodes):
 class _Trees(WordBuffer):
     """Flat index over the tree sections of one u64 word buffer."""
 
-    __slots__ = ("_n", "_alphabet_bits", "_hist", "_tree_end",
+    __slots__ = ("_n", "_block_len", "_alphabet_bits", "_hist", "_tree_end",
                  "_data_words", "_root", "_entry", "_code", "_clen",
                  "_nw", "_nd", "_nlen", "_left", "_right")
 
     def _index(self, buf: np.ndarray, tree_at: np.ndarray, alphabet_bits: int,
                min_end: int = 0) -> None:
         """Derive the query tables from the tree sections at word offsets
-        tree_at of buf, and keep buf up to the last section's end (at
-        least min_end words). Built and loaded structures both come here."""
+        tree_at of buf, one per block of the _n symbols in blocks of
+        _block_len, and keep buf up to the last section's end (at least
+        min_end words). Built and loaded structures both come here."""
         sigma = 1 << alphabet_bits
         m = len(tree_at)
         ncodes = read_words(buf, tree_at + 2)
+        # Block k holds min(block_len, n - k * block_len) symbols (word 1
+        # of its tree section), and has a code table if it holds any.
+        k, bl, held = np.arange(m, dtype=_U64), self._block_len, buf[tree_at + 1]
+        if ((held != np.minimum(bl, self._n - bl * k))
+                | ((held > 0) != (ncodes > 0))).any():
+            raise ValueError("blocks disagree with n, block_len or code tables")
         for word in np.unique(buf[tree_at]).tolist():
             if header_fields(word, MAGIC, "wavelet tree", VERSION) != alphabet_bits:
                 raise ValueError("tree alphabet differs from the structure's")
@@ -175,6 +185,11 @@ class _Trees(WordBuffer):
         # (block << alphabet_bits) + symbol -> entry, -1 where absent.
         entry = np.full(m << alphabet_bits, -1, np.int32)
         entry[(ek << alphabet_bits) + es] = np.arange(len(es))
+        # Canonical tables, as built and as canonical_codes assumes:
+        # (length, symbol) strictly increasing, no symbol in two entries.
+        if ((np.diff((ek * 65 + el) * sigma + es) <= 0).any()
+                or np.count_nonzero(entry >= 0) != len(es)):
+            raise ValueError("code table not canonical")
         nw, nd = bitvec.section_offsets(starts, lengths)
 
         self._buf = buf[:max(int(tree_end.max(initial=0)), min_end)]
@@ -192,6 +207,51 @@ class _Trees(WordBuffer):
         self._nlen = table(lengths)
         self._left = table(child[:len(left)])
         self._right = table(child[len(left):2 * len(left)])
+
+    # -- queries: block k = (i - 1) // block_len, then inside its tree --
+
+    def _before(self, mv, k: int, c: int) -> int:
+        """Occurrences of c before block k; a lone tree has none."""
+        return 0
+
+    def access(self, i: int, trace=None, base: int = 0) -> int:
+        """Symbol at position i; resolved inside block (i-1)//block_len."""
+        if i < 1 or i > self._n:
+            raise IndexError(f"position {i} out of range 1..{self._n}")
+        k = (i - 1) // self._block_len
+        return self._access_in(self._reader(trace, base), k,
+                               i - k * self._block_len)
+
+    def rank(self, c: int, i: int, trace=None, base: int = 0) -> int:
+        """Occurrences of c in positions 1..i: before i's block, then in it."""
+        self._check_symbol(c)
+        if i < 0 or i > self._n:
+            raise IndexError(f"position {i} out of range 0..{self._n}")
+        if i == 0:
+            return 0
+        k = (i - 1) // self._block_len
+        mv = self._reader(trace, base)
+        return self._before(mv, k, c) + self._rank_in(
+            mv, k, c, i - k * self._block_len)
+
+    def select(self, c: int, j: int, trace=None, base: int = 0) -> int:
+        """Position of the j-th occurrence of c."""
+        self._check_symbol(c)
+        total = int(self._hist[c])
+        if j < 1 or j > total:
+            raise ValueError(f"symbol {c} occurs {total} times, ordinal {j}")
+        # In the last block with fewer than j before it; block 0 has none.
+        mv = self._reader(trace, base)
+        lo, hi = 1, len(self._tree_end)
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if self._before(mv, mid, c) >= j:
+                hi = mid
+            else:
+                lo = mid + 1
+        k = lo - 1
+        return k * self._block_len + self._select_in(
+            mv, k, c, j - self._before(mv, k, c))
 
     # -- queries inside one tree, reading words through mv ------------
 
@@ -319,7 +379,7 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
     and the (m, 2^bits) block histograms; it allocates the zeroed u64
     buffer, writes whatever surrounds the trees, and returns the buffer
     and each tree section's word offset (a multiple of 8). This fills
-    in the tree sections and returns the buffer and those offsets.
+    in the tree sections and returns the buffer.
     """
     n = int(symbols.size)
     sigma = 1 << alphabet_bits
@@ -426,7 +486,7 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
                 break
 
     bitvec.write_sections(buf, starts, nlen, nones)
-    return buf, tree_at
+    return buf
 
 
 def _copy_runs(buf, packed, src_start, length, dst_bit) -> None:
@@ -452,10 +512,6 @@ def _copy_runs(buf, packed, src_start, length, dst_bit) -> None:
     buf[word] |= val
 
 
-def _place_tree(tree_words, counts):
-    return np.zeros(int(tree_words[0]), _U64), [0]
-
-
 class WaveletTree(_Trees):
     __slots__ = ()
 
@@ -464,6 +520,7 @@ class WaveletTree(_Trees):
         if len(buf) < 3:
             raise truncated()
         self._n = int(buf[1])
+        self._block_len = max(self._n, 1)
         self._index(buf, np.zeros(1, np.int64),
                     header_fields(buf[0], MAGIC, "wavelet tree", VERSION))
 
@@ -472,11 +529,11 @@ class WaveletTree(_Trees):
     @classmethod
     def build(cls, symbols, alphabet_bits: int) -> "WaveletTree":
         symbols = _as_symbol_array(symbols, alphabet_bits)
-        n = int(symbols.size)
-        buf, _ = build_trees(symbols, max(n, 1), 1, alphabet_bits, _place_tree)
-        return cls(buf)
+        return cls(build_trees(
+            symbols, max(int(symbols.size), 1), 1, alphabet_bits,
+            lambda words, _: (np.zeros(int(words[0]), _U64), [0])))
 
-    # -- queries -----------------------------------------------------
+    # -- shape -------------------------------------------------------
 
     @property
     def code_table(self) -> CodeTable:
@@ -494,27 +551,6 @@ class WaveletTree(_Trees):
     def node(self, idx: int) -> bitvec.BitVector:
         """Node idx's bitvector, a view of its section in this tree."""
         return bitvec.BitVector(self._buf[self._nw[idx] - bitvec.WORDS_AT:])
-
-    def access(self, i: int, trace=None, base: int = 0) -> int:
-        """Symbol at position i."""
-        if i < 1 or i > self._n:
-            raise IndexError(f"position {i} out of range 1..{self._n}")
-        return self._access_in(self._reader(trace, base), 0, i)
-
-    def rank(self, c: int, i: int, trace=None, base: int = 0) -> int:
-        """Occurrences of symbol c in positions 1..i."""
-        self._check_symbol(c)
-        if i < 0 or i > self._n:
-            raise IndexError(f"position {i} out of range 0..{self._n}")
-        return self._rank_in(self._reader(trace, base), 0, c, i)
-
-    def select(self, c: int, j: int, trace=None, base: int = 0) -> int:
-        """Position of the j-th occurrence of symbol c."""
-        self._check_symbol(c)
-        total = int(self._hist[c])
-        if j < 1 or j > total:
-            raise ValueError(f"symbol {c} occurs {total} times, ordinal {j}")
-        return self._select_in(self._reader(trace, base), 0, c, j)
 
     # -- sizes and serialization --------------------------------------
 

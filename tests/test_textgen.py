@@ -137,6 +137,17 @@ def test_query_positions_in_range_and_exact():
         gen_query_positions(1, 5, 0)
 
 
+@pytest.mark.parametrize("seed, count, n", [
+    (0, 1, 1), (7, 100, 2), (123, 1000, 50), (MASK, 300, 2**40),
+    (2**63, 50, MASK)])
+def test_query_positions_follow_the_stream(seed, count, n):
+    # Position k is the k-th output u of the seed's stream scaled to
+    # 1..n: (u * n >> 64) + 1.
+    stream = splitmix64_stream(seed)
+    want = [(next(stream) * n >> 64) + 1 for _ in range(count)]
+    assert gen_query_positions(seed, count, n) == want
+
+
 def test_dataset_fields():
     ds = Dataset(seed=1, n_bytes=3, raw=b"abc")
     assert ds.raw == b"abc"

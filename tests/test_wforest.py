@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waveletforest.fmindex import FmIndex
 from waveletforest.wforest import WaveletForest
 from waveletforest.wtree import WaveletTree
 
@@ -430,8 +431,6 @@ GOLDEN_TRACE_DIGESTS = {
 
 @pytest.mark.parametrize("bits", sorted(GOLDEN_TRACE_DIGESTS))
 def test_traces_match_golden_digests(bits):
-    from waveletforest.fmindex import FmIndex
-
     text = golden_text(bits)
     n = len(text)
     queries = _golden_queries(text, bits, 7000 + bits)
@@ -450,3 +449,58 @@ def test_traces_match_golden_digests(bits):
             fm = FmIndex.build(text, bits, backend=backend, block_len=64)
             got["fm-" + backend] = _trace_digest(fm, fm_queries)
     assert got == GOLDEN_TRACE_DIGESTS[bits]
+
+
+@pytest.mark.parametrize("word, value", [(2, 50), (1, 1050), (3, 9), (1, 999)])
+def test_load_checks_block_geometry(word, value):
+    # n, block_len and the block count (header words 1, 2 and 3) must
+    # agree with each other and with every block's symbol count.
+    text = np.random.default_rng(5).integers(0, 16, 1000)
+    blob = bytearray(WaveletForest.build(text, 100, 4).to_bytes())
+    struct.pack_into("<Q", blob, 8 * word, value)
+    with pytest.raises(ValueError, match="disagree"):
+        WaveletForest.from_bytes(blob)
+
+
+def test_load_rejects_a_block_that_lost_its_code_table():
+    # With its entry count zeroed, a block's node count is read from its
+    # first entry's symbol, 0 here, so only its symbol count shows the
+    # loss; it loaded at 3000 symbols that all read as 0.
+    text = np.random.default_rng(3).integers(0, 16, 3000)
+    tree = WaveletTree.build(text, 4)
+    forest = WaveletForest.build(text, 500, 4)
+    for structure, at in ((tree, 2),
+                          (forest, forest.block_section_offset(0) // 8 + 18)):
+        words = np.frombuffer(structure.to_bytes(), "<u8").copy()
+        assert words[at + 1] == 0  # the first entry's symbol
+        words[at] = 0
+        with pytest.raises(ValueError, match="disagree"):
+            type(structure).from_bytes(words.tobytes())
+
+
+def test_load_rejects_non_canonical_code_tables():
+    # golden_text(4) is skewed: the tree's table and block 0's start
+    # with two entries of one length and a third one bit longer.
+    text = golden_text(4)
+    tree = WaveletTree.build(text, 4)
+    forest = WaveletForest.build(text, 1000, 4)
+    block0 = forest.block_section_offset(0) // 8 + 16
+
+    def swap(symbols):
+        symbols[0], symbols[1] = symbols[1], symbols[0]
+
+    def repeat(symbols):
+        symbols[1] = symbols[0]
+
+    def repeat_longer(symbols):  # still in (length, symbol) order
+        symbols[2] = symbols[1]
+
+    for structure, table_at in ((tree, 2), (forest, block0 + 2)):
+        words = np.frombuffer(structure.to_bytes(), "<u8")
+        lengths = words[table_at + 2:table_at + 8:2].tolist()
+        assert lengths[0] == lengths[1] < lengths[2]
+        for edit in (swap, repeat, repeat_longer):
+            bad = words.copy()
+            edit(bad[table_at + 1::2])  # the entries' symbols come first
+            with pytest.raises(ValueError, match="code table"):
+                type(structure).from_bytes(bad.tobytes())
