@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -314,3 +315,70 @@ def test_sixteen_bit_tree_reads_the_edges_of_its_entry_table():
         assert wt.select((1 << 16) - 1, int((text == (1 << 16) - 1).sum())) == n
         with pytest.raises(ValueError):
             wt.select(absent[0], 1)
+
+
+def fibonacci_text(depth, rng):
+    """Symbols 0..depth with weights 1, 1, 1, 2, 3, 5, ..., shuffled: the
+    Huffman code of that histogram is depth bits deep."""
+    weights, a, b = [1], 1, 1
+    for _ in range(depth):
+        weights.append(a)
+        a, b = b, a + b
+    text = np.repeat(np.arange(depth + 1, dtype=np.uint8), weights)
+    rng.shuffle(text)
+    return text
+
+
+# sha256 of to_bytes() for the tree of fibonacci_text(depth) and the
+# forest of width_boundary_text(depth); the deepest codes straddle the
+# 8-, 16- and 32-bit word widths a build may route its positions in.
+WIDTH_DIGESTS = {
+    7: ("51b284000f4ddc30b9e3f08b2ea4c95d4bb411bbb8f4572e526c46b4d1fc7270",
+        "40cb661318a87263c6926c8e73489b6f6593383eb66cd6e54ef52e793a67bd20"),
+    8: ("0e62ad83b34614172c05d1a49a1cfa77fe0a7b01147df9b4453f22e3d3ef36b6",
+        "50ca9278830af806ab6703c600cfde33a1d1524a04ae65b025ceda52288a59fc"),
+    15: ("5e18090b491655a0fcb8c05164c5e74a837fe77b99115e9496d4340024a4a27e",
+         "086a0202befc22729142b7950baceaea5a3804f2478d6bff51a034f459449270"),
+    16: ("f11a8f6c819f823f783a866d7f5d06e800083d25673f6e1ee982894cd23c7465",
+         "c31e8c0a6f6d5cc57a9f4d5d25a150589f0b52f12a201476a4016f49006510c5"),
+    31: ("2f4a07dacb0cf57aa47308399f2873598142ac96d95f1e9cb161dc0f78f9e5d3",
+         "3d44d4e9acd321afd453b1260215998922d8fb03efb1d261de539416c7aca008"),
+    32: ("616f81668fd6c91a752cc1862a8963e504be514b6391c76bf5ae8ea1437cc34f",
+         "0003cfb746e080b00ee42c686c77b0b3df8cfcabf531820b0f61cee5b15209b0"),
+}
+
+
+def width_boundary_text(depth, rng):
+    """A lone-symbol block, a fibonacci_text block, a two-symbol block
+    and a short four-symbol last block, in blocks of the deep one's
+    length. Below 2^16 symbols a block shares its build chunk with the
+    others."""
+    deep = fibonacci_text(depth, rng)
+    block_len = len(deep)
+    return np.concatenate([
+        np.full(block_len, depth, np.uint8), deep,
+        rng.integers(3, 5, block_len).astype(np.uint8),
+        rng.integers(0, 4, block_len // 3).astype(np.uint8)]), block_len
+
+
+@pytest.mark.parametrize("depth", sorted(WIDTH_DIGESTS))
+def test_codes_deep_enough_to_cross_each_word_width(depth):
+    bits = depth.bit_length()
+    rng = np.random.default_rng(900 + depth)
+    tree_text = fibonacci_text(depth, rng)
+    forest_text, block_len = width_boundary_text(depth, rng)
+    wt = WaveletTree.build(tree_text, bits)
+    wf = WaveletForest.build(forest_text, block_len, bits)
+    assert wt.code_table.max_length == depth
+    for (text, ws), want in zip(((tree_text, wt), (forest_text, wf)),
+                                WIDTH_DIGESTS[depth]):
+        assert hashlib.sha256(ws.to_bytes()).hexdigest() == want
+        n = len(text)
+        for i in rng.integers(1, n + 1, 200).tolist():
+            assert ws.access(i) == int(text[i - 1])
+        for c in {0, depth, 1, 3, int(rng.integers(0, depth + 1))}:
+            hits = np.flatnonzero(text == c) + 1
+            for i in [0, n] + rng.integers(0, n + 1, 20).tolist():
+                assert ws.rank(c, i) == int(np.searchsorted(hits, i, "right"))
+            for j in [1, len(hits)] + rng.integers(1, len(hits) + 1, 20).tolist():
+                assert ws.select(c, j) == int(hits[j - 1])
