@@ -13,8 +13,11 @@ a tree section per block. _Trees indexes any number of tree sections in
 such an array, and answers access, rank and select on them: a block,
 then a descent in its tree. A WaveletTree is the one-block case
 (block_len max(n, 1)), and a forest differs only in _before, its rank
-row read. build_trees constructs all tree sections of a text in one
-pass of array operations.
+row read. build_trees constructs all tree sections of a text level by
+level, as a wavelet matrix is built: each position carries its symbol's
+code as one narrow word, left-aligned and followed by a marker bit, and
+every level stably partitions the words by their top bit and shifts it
+out.
 
 The index is a set of flat numpy tables, read by the queries item by
 item through memoryviews: per node its word offsets, length and
@@ -380,6 +383,10 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
     buffer, writes whatever surrounds the trees, and returns the buffer
     and each tree section's word offset (a multiple of 8). This fills
     in the tree sections and returns the buffer.
+
+    Raises ValueError if a block's Huffman code is 64 bits deep, which
+    takes a block of about F(66) ~ 2.7e13 symbols: a position's routing
+    word would have no room for the marker after its code.
     """
     n = int(symbols.size)
     sigma = 1 << alphabet_bits
@@ -399,6 +406,13 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
     codes = np.empty_like(codes_c)
     codes[order] = codes_c
     depth = inner.shape[1] - 1
+    if depth >= 64:
+        raise ValueError("a 64-bit code leaves no room for its routing marker")
+    # Routing words: the narrowest unsigned type that holds the deepest
+    # code followed by a marker bit.
+    word_type = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                     if np.iinfo(t).bits > depth)
+    width = np.iinfo(word_type).bits
     nlen, nones = _node_sizes(ef[order], nd, left, right, depth)
 
     # Section layout, in words from each tree section's start: header,
@@ -434,55 +448,57 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
     words_at = bitvec.section_offsets(starts, nlen)[0]
 
     # Route every position down its block's tree, one depth at a time,
-    # as in wavelet matrix construction: the positions still descending
-    # are stably partitioned by their code bit at each depth, which
-    # keeps every node's positions in one run, in text order. Runs then
-    # follow their parents' order, left children first.
+    # as in wavelet matrix construction. A position carries one word:
+    # its entry's code, left-aligned, then a 1 marker. Its code bit at
+    # each depth is word >= top, and shifting the word left after each
+    # depth leaves exactly top once its code has ended, at a leaf. The
+    # positions still descending are stably partitioned by their code
+    # bit, which keeps every node's positions in one run, in text order.
+    # Runs then follow their parents' order, left children first.
     entry_at = np.append(np.cumsum(ncodes) - ncodes, len(ek))
-    level = np.arange(depth)[:, None]
-    # route[d, e]: bit 0 is entry e's code bit at depth d, bit 1 says
-    # whether it descends past depth d.
-    route = (((codes >> np.maximum(el - 1 - level, 0).astype(np.uint64))
-              & np.uint64(1)).astype(np.uint8)
-             | ((el > level + 1) << 1).astype(np.uint8))
+    top = word_type(1 << (width - 1))
+    marked = ((codes << np.uint64(1) | np.uint64(1))
+              << (width - 1 - el).astype(np.uint64)).astype(word_type)
     filled = np.zeros(len(nk), np.int64)  # bits already routed per node
     for lo, hi, k0, k1 in chunks:
         if not (ncodes[k0:k1] > 1).any():
             continue
-        # e: each position's entry, through a dense (block, symbol) table.
+        # x: each position's marked code, through a dense (block, symbol)
+        # table.
         e_lo, e_hi = entry_at[k0], entry_at[k1]
-        table = np.zeros((k1 - k0) * sigma, np.intp)
-        table[(ek[e_lo:e_hi] - k0) * sigma + es[e_lo:e_hi]] = np.arange(
-            e_lo, e_hi)
-        e = table[_chunk_keys(symbols, lo, hi, k0, k1, block_len, sigma)]
+        table = np.zeros((k1 - k0) * sigma, word_type)
+        table[(ek[e_lo:e_hi] - k0) * sigma + es[e_lo:e_hi]] = marked[e_lo:e_hi]
+        x = table[_chunk_keys(symbols, lo, hi, k0, k1, block_len, sigma)]
         del table
         # Depth 0: one run per block that has a root, its whole share of
-        # the chunk.
+        # the chunk. A lone symbol's empty code reads top already.
         blocks = np.arange(k0, k1)
         run_len = (np.minimum(hi, (blocks + 1) * block_len)
                    - np.maximum(lo, blocks * block_len))
         if (ncodes[k0:k1] == 1).any():
-            e = np.compress(el[e] > 0, e)
+            x = np.compress(x != top, x)
             run_len = run_len[ncodes[k0:k1] > 1]
             blocks = blocks[ncodes[k0:k1] > 1]
         run_node = first[blocks, 0]
         for d in range(depth):
-            step = route[d][e]
-            bit = step & 1
+            bit = x >= top
             run_start = np.cumsum(run_len) - run_len
             _copy_runs(buf, np.packbits(bit, bitorder="little"), run_start,
                        run_len, 64 * words_at[run_node] + filled[run_node])
             filled[run_node] += run_len
             if d + 1 == depth:
                 break
-            ones = np.add.reduceat(bit, run_start, dtype=np.int64)
-            e = np.concatenate([np.compress(step == 2, e),
-                                np.compress(step == 3, e)])
+            # Runs hold at most _CHUNK positions.
+            ones = np.add.reduceat(bit, run_start, dtype=np.int32)
+            x <<= 1
+            on = x != top
+            x = np.concatenate([np.compress(on & ~bit, x),
+                                np.compress(on & bit, x)])
             child = np.concatenate([left[run_node], right[run_node]])
             count = np.concatenate([run_len - ones, ones])
             keep = (child >= 0) & (count > 0)
             run_node, run_len = child[keep], count[keep]
-            if not len(e):
+            if not len(x):
                 break
 
     bitvec.write_sections(buf, starts, nlen, nones)

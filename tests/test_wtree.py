@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from waveletforest.fmindex import build_bwt
 from waveletforest.huffman import zeroth_order_entropy
+from waveletforest import wtree
 from waveletforest.wforest import WaveletForest
 from waveletforest.wtree import WaveletTree
 
@@ -382,3 +383,26 @@ def test_codes_deep_enough_to_cross_each_word_width(depth):
                 assert ws.rank(c, i) == int(np.searchsorted(hits, i, "right"))
             for j in [1, len(hits)] + rng.integers(1, len(hits) + 1, 20).tolist():
                 assert ws.select(c, j) == int(hits[j - 1])
+
+
+@pytest.mark.parametrize("depth", [63, 64])
+def test_build_routes_63_bit_codes_and_rejects_64_bit_ones(monkeypatch, depth):
+    # Lengths 1, 2, ..., depth, depth form a complete code depth bits
+    # deep; a Huffman code that deep needs a block of about F(depth + 2)
+    # symbols, so the lengths are imposed instead.
+    monkeypatch.setattr(wtree, "code_lengths",
+                        lambda ek, ef: np.minimum(np.arange(len(ek)) + 1, depth))
+    rng = np.random.default_rng(depth)
+    text = rng.permutation(np.repeat(np.arange(depth + 1, dtype=np.uint8), 3))
+    if depth == 64:
+        with pytest.raises(ValueError, match="64-bit code"):
+            WaveletTree.build(text, 7)
+        return
+    built = WaveletTree.build(text, 7)
+    assert built.code_table.max_length == depth
+    for wt in (built, WaveletTree.from_bytes(built.to_bytes())):
+        assert [wt.access(i) for i in range(1, len(text) + 1)] == text.tolist()
+        for c in (0, 1, depth - 1, depth):
+            hits = (np.flatnonzero(text == c) + 1).tolist()
+            assert [wt.rank(c, i) for i in hits] == [1, 2, 3]
+            assert [wt.select(c, j) for j in (1, 2, 3)] == hits
