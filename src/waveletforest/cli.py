@@ -1,7 +1,8 @@
 """Command line front end: gen, build, bench, sweep.
 
 gen    write a deterministic pseudo-random byte stream to a file
-build  construct a wavelet tree or forest from raw bytes and save it
+build  construct a wavelet tree or forest, or an FM-index over either,
+       from raw bytes and save it
 bench  time batches of queries against a saved structure, CSV out
 sweep  benchmark a tree and a grid of forest block sizes in one go
 
@@ -69,15 +70,21 @@ def cmd_build(args) -> int:
     with open(args.input, "rb") as fh:
         raw = fh.read()
     seq = reinterpret(raw, bits)
-    if args.structure == "tree":
-        if args.block_bytes is not None:
-            raise ValueError("--block-bytes only applies to --structure forest")
-        structure = WaveletTree.build(seq.symbols, bits)
-    else:
+    block_len = None
+    if args.structure in ("forest", "fm-forest"):
         if args.block_bytes is None:
-            raise ValueError("--structure forest requires --block-bytes")
+            raise ValueError(f"--structure {args.structure} requires --block-bytes")
         block_len = _block_len(args.block_bytes, bits)
+    elif args.block_bytes is not None:
+        raise ValueError("--block-bytes only applies to --structure forest "
+                         "or fm-forest")
+    if args.structure == "tree":
+        structure = WaveletTree.build(seq.symbols, bits)
+    elif args.structure == "forest":
         structure = WaveletForest.build(seq.symbols, block_len, bits)
+    else:  # an FM-index over a tree or forest backend
+        structure = FmIndex.build(seq.symbols, bits, args.structure[3:],
+                                  block_len)
     blob = structure.to_bytes()
     with open(args.out, "wb") as fh:
         fh.write(blob)
@@ -169,8 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--alphabet-bits", type=int, required=True,
                          choices=CLI_ALPHABETS)
     p_build.add_argument("--structure", required=True,
-                         choices=("tree", "forest"))
-    p_build.add_argument("--block-bytes", type=int, default=None)
+                         choices=("tree", "forest", "fm-tree", "fm-forest"))
+    p_build.add_argument("--block-bytes", type=int, default=None,
+                         help="forest block size in text bytes "
+                              "(forest and fm-forest only)")
     p_build.add_argument("--out", required=True)
     p_build.set_defaults(func=cmd_build)
 

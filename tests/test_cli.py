@@ -159,6 +159,38 @@ def test_bench_count_on_fm_file(tmp_path, data_file):
     assert int(rows[0]["n_symbols"]) == 1500
 
 
+@pytest.mark.parametrize("structure", ["fm-tree", "fm-forest"])
+def test_build_fm_index_and_bench_count(tmp_path, data_file, structure):
+    fm_file = str(tmp_path / "x.fm")
+    block = ["--block-bytes", "500"] if structure == "fm-forest" else []
+    assert main(["build", "--input", data_file, "--alphabet-bits", "4",
+                 "--structure", structure, *block, "--out", fm_file]) == 0
+    fm = FmIndex.from_bytes(open(fm_file, "rb").read())
+    assert fm.n == 2 * 4096 and fm.alphabet_bits == 4
+    assert fm.backend_kind == structure[3:]
+    if structure == "fm-forest":
+        assert fm.backend.block_len == 1000  # 500 bytes of 4-bit symbols
+    csv_path = str(tmp_path / "count.csv")
+    assert main(["bench", "--structure-file", fm_file,
+                 "--query-kind", "count", "--queries", "50",
+                 "--pattern-len", "3", "--repeats", "1",
+                 "--csv", csv_path]) == 0
+    (row,) = read_rows(csv_path)
+    assert row["query_kind"] == "count" and row["structure"] == structure[3:]
+    # Patterns are cut from the text, so each counts at least once.
+    assert int(row["checksum"]) >= 50
+
+
+def test_build_fm_forest_requires_block_bytes(tmp_path, data_file, capsys):
+    out = str(tmp_path / "x.fm")
+    assert main(["build", "--input", data_file, "--alphabet-bits", "8",
+                 "--structure", "fm-forest", "--out", out]) == 1
+    assert "block-bytes" in capsys.readouterr().err
+    assert main(["build", "--input", data_file, "--alphabet-bits", "8",
+                 "--structure", "fm-tree", "--block-bytes", "100",
+                 "--out", out]) == 1
+
+
 def test_bench_count_patterns_occur_in_the_text(tmp_path, data_file):
     raw = open(data_file, "rb").read()[:1600]
     fm = FmIndex.build(reinterpret(raw, 8).symbols, 8)
