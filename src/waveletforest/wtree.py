@@ -408,11 +408,6 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
     depth = inner.shape[1] - 1
     if depth >= 64:
         raise ValueError("a 64-bit code leaves no room for its routing marker")
-    # Routing words: the narrowest unsigned type that holds the deepest
-    # code followed by a marker bit.
-    word_type = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-                     if np.iinfo(t).bits > depth)
-    width = np.iinfo(word_type).bits
     nlen, nones = _node_sizes(ef[order], nd, left, right, depth)
 
     # Section layout, in words from each tree section's start: header,
@@ -449,13 +444,17 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
 
     # Route every position down its block's tree, one depth at a time,
     # as in wavelet matrix construction. A position carries one word:
-    # its entry's code, left-aligned, then a 1 marker. Its code bit at
-    # each depth is word >= top, and shifting the word left after each
-    # depth leaves exactly top once its code has ended, at a leaf. The
-    # positions still descending are stably partitioned by their code
-    # bit, which keeps every node's positions in one run, in text order.
-    # Runs then follow their parents' order, left children first.
+    # its entry's code, left-aligned, then a 1 marker, in the narrowest
+    # unsigned type that holds the deepest code and the marker. Its code
+    # bit at each depth is word >= top, and shifting the word left after
+    # each depth leaves exactly top once its code has ended, at a leaf.
+    # The positions still descending are stably partitioned by their
+    # code bit, which keeps every node's positions in one run, in text
+    # order. Runs then follow their parents' order, left children first.
     entry_at = np.append(np.cumsum(ncodes) - ncodes, len(ek))
+    word_type = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                     if np.iinfo(t).bits > depth)
+    width = np.iinfo(word_type).bits
     top = word_type(1 << (width - 1))
     marked = ((codes << np.uint64(1) | np.uint64(1))
               << (width - 1 - el).astype(np.uint64)).astype(word_type)
