@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waveletforest import wtree
 from waveletforest.fmindex import build_bwt
 from waveletforest.huffman import zeroth_order_entropy
-from waveletforest import wtree
 from waveletforest.wforest import WaveletForest
 from waveletforest.wtree import WaveletTree
 
