@@ -12,11 +12,8 @@ exact access-locality profiler.
 __version__ = "0.1.0"
 
 from .bench import (BenchResult, LocalityProfile, LocalitySummary,
-                    TouchTrace, aggregate_locality, emit_csv,
-                    gen_rank_queries, gen_text_patterns, profile_access,
-                    profile_count, profile_rank, profile_select,
-                    run_access_bench, run_count_bench, run_rank_bench,
-                    summarize_locality)
+                    aggregate_locality, emit_csv, gen_rank_queries,
+                    gen_text_patterns, profile, run_bench, summarize_locality)
 from .bitvec import BitVector
 from .fmindex import Bwt, FmIndex, build_bwt
 from .huffman import CodeTable, build_code_table, zeroth_order_entropy
@@ -27,11 +24,9 @@ from .wtree import WaveletTree
 
 __all__ = [
     "BenchResult", "BitVector", "Bwt", "CodeTable", "Dataset", "FmIndex",
-    "LocalityProfile", "LocalitySummary", "SymbolSequence", "TouchTrace",
-    "WaveletForest", "WaveletTree", "aggregate_locality", "build_bwt",
-    "build_code_table", "emit_csv", "gen_bytes", "gen_query_positions",
-    "gen_rank_queries", "gen_text_patterns", "profile_access",
-    "profile_count", "profile_rank", "profile_select", "reinterpret",
-    "run_access_bench", "run_count_bench", "run_rank_bench",
+    "LocalityProfile", "LocalitySummary", "SymbolSequence", "WaveletForest",
+    "WaveletTree", "aggregate_locality", "build_bwt", "build_code_table",
+    "emit_csv", "gen_bytes", "gen_query_positions", "gen_rank_queries",
+    "gen_text_patterns", "profile", "reinterpret", "run_bench",
     "splitmix64_stream", "summarize_locality", "zeroth_order_entropy",
 ]

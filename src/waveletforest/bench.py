@@ -1,14 +1,17 @@
 """Benchmark harness and deterministic locality profiling.
 
-Timing runs wrap a whole query batch in one monotonic-clock read pair
-and fold every answer into a checksum (sum mod 2^64), so the work can't
-be optimized away and equal checksums across structures double as an
-equivalence check. Locality profiling replays queries with trace
-recording on: each query yields the byte offsets of the word-sized
-reads it performed against the structure's serialized layout, which is
-then reduced to distinct-regions-touched and span statistics at a given
-granularity. Both run the same query code, so profiles are exact, not
-sampled approximations.
+Every query is a method taking its arguments and a `trace` list, so
+one timer and one tracer serve them all. run_bench times passes of
+structure.<query_kind>(*a) over a list of argument tuples, each pass
+inside one monotonic-clock read pair, and folds every answer into a
+checksum (sum mod 2^64), so the work can't be optimized away and equal
+checksums across structures double as an equivalence check.
+profile(query, *args) returns a query's answer and the byte offsets of
+the word-sized reads it made against the structure's serialized layout,
+in order; summarize_locality and aggregate_locality reduce those to
+distinct-regions-touched and span statistics at a given granularity.
+Both run the same query code, so profiles are exact, not sampled
+approximations.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 
 from .fmindex import FmIndex
 from .textgen import gen_query_positions, splitmix64_words
@@ -40,12 +43,6 @@ class BenchResult:
     ns_per_query: float
     struct_bytes: int
     checksum: int
-
-
-@dataclass
-class TouchTrace:
-    """Byte offsets of the word reads one query performed, in order."""
-    offsets: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -83,40 +80,23 @@ def _meta(structure, block_bytes):
             structure.size_bytes())
 
 
-def _bench(structure, query_kind, call, args, repeats, block_bytes):
-    """Time `repeats` passes of call(*a) over args, summing the answers."""
+def run_bench(structure, query_kind: str, args, repeats: int = 1,
+              block_bytes: int | None = None) -> list[BenchResult]:
+    """Time `repeats` passes of structure.<query_kind>(*a) over the
+    argument tuples in args, summing the answers."""
+    query = getattr(structure, query_kind)
     kind, bits, bb, n, size = _meta(structure, block_bytes)
     out = []
     for rep in range(1, repeats + 1):
         acc = 0
         t0 = time.perf_counter_ns()
         for a in args:
-            acc += call(*a)
+            acc += query(*a)
         total_ns = time.perf_counter_ns() - t0
         out.append(BenchResult(
             kind, bits, bb, n, query_kind, len(args), rep, total_ns,
             total_ns / len(args) if args else 0.0, size, acc & _MASK))
     return out
-
-
-def run_access_bench(structure, positions, repeats: int = 1,
-                     block_bytes: int | None = None) -> list[BenchResult]:
-    return _bench(structure, "access", structure.access,
-                  [(int(p),) for p in positions], repeats, block_bytes)
-
-
-def run_rank_bench(structure, queries, repeats: int = 1,
-                   block_bytes: int | None = None) -> list[BenchResult]:
-    """queries: (symbol, position) pairs."""
-    return _bench(structure, "rank", structure.rank,
-                  [(int(c), int(i)) for c, i in queries], repeats, block_bytes)
-
-
-def run_count_bench(fm: FmIndex, patterns, repeats: int = 1,
-                    block_bytes: int | None = None) -> list[BenchResult]:
-    return _bench(fm, "count", fm.count,
-                  [(list(map(int, p)),) for p in patterns], repeats,
-                  block_bytes)
 
 
 # -- deterministic query generation ------------------------------------
@@ -154,38 +134,21 @@ def gen_text_patterns(fm: FmIndex, seed: int, count: int, length: int):
 
 # -- locality profiling -------------------------------------------------
 
-def _profile(query, *args) -> tuple[int, TouchTrace]:
-    t = []
-    answer = query(*args, trace=t)
-    return answer, TouchTrace(t)
+def profile(query, *args) -> tuple[int, list[int]]:
+    """query(*args) and the byte offsets of the word reads it made, in
+    order."""
+    trace = []
+    return query(*args, trace=trace), trace
 
 
-def profile_access(structure, i: int) -> tuple[int, TouchTrace]:
-    return _profile(structure.access, i)
-
-
-def profile_rank(structure, c: int, i: int) -> tuple[int, TouchTrace]:
-    return _profile(structure.rank, c, i)
-
-
-def profile_select(structure, c: int, j: int) -> tuple[int, TouchTrace]:
-    return _profile(structure.select, c, j)
-
-
-def profile_count(fm: FmIndex, pattern) -> tuple[int, TouchTrace]:
-    return _profile(fm.count, pattern)
-
-
-def summarize_locality(trace, granularity: int) -> LocalityProfile:
+def summarize_locality(trace: list[int], granularity: int) -> LocalityProfile:
     """Distinct granularity-sized regions touched, and the byte span."""
     if granularity < 1:
         raise ValueError("granularity must be positive")
-    offsets = trace.offsets if isinstance(trace, TouchTrace) else list(trace)
-    if not offsets:
+    if not trace:
         return LocalityProfile(granularity, 0, 0)
-    regions = {off // granularity for off in offsets}
-    return LocalityProfile(granularity, len(regions),
-                           max(offsets) - min(offsets))
+    regions = {off // granularity for off in trace}
+    return LocalityProfile(granularity, len(regions), max(trace) - min(trace))
 
 
 def aggregate_locality(structure, traces, granularity: int,

@@ -24,6 +24,8 @@ without one it reads the bare memoryview.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from ._bits import (_U64, WordBuffer, header_word, inside, pack_bits,
@@ -255,6 +257,7 @@ class BitVector(WordBuffer):
 
     def access(self, i: int, trace=None, base: int = 0) -> int:
         """Bit at position i (1-based)."""
+        i = operator.index(i)
         if i < 1 or i > self._length:
             raise IndexError(f"position {i} out of range 1..{self._length}")
         mv = self._reader(trace, base)
@@ -262,16 +265,19 @@ class BitVector(WordBuffer):
 
     def rank1(self, i: int, trace=None, base: int = 0) -> int:
         """Number of set bits in positions 1..i; rank1(0) is 0."""
+        i = operator.index(i)
         if i < 0 or i > self._length:
             raise IndexError(f"position {i} out of range 0..{self._length}")
         return rank1(self._reader(trace, base), WORDS_AT, self._dir_at, i)
 
     def rank0(self, i: int, trace=None, base: int = 0) -> int:
         """Number of clear bits in positions 1..i."""
+        i = operator.index(i)
         return i - self.rank1(i, trace, base)
 
     def select1(self, j: int, trace=None, base: int = 0) -> int:
         """Position of the j-th (1-based) set bit."""
+        j = operator.index(j)
         if j < 1 or j > self._num_ones:
             raise ValueError(f"ordinal {j} out of range 1..{self._num_ones}")
         return select(self._reader(trace, base), WORDS_AT, self._dir_at,
@@ -279,6 +285,7 @@ class BitVector(WordBuffer):
 
     def select0(self, j: int, trace=None, base: int = 0) -> int:
         """Position of the j-th (1-based) clear bit."""
+        j = operator.index(j)
         zeros = self._length - self._num_ones
         if j < 1 or j > zeros:
             raise ValueError(f"ordinal {j} out of range 1..{zeros}")

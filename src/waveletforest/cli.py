@@ -17,9 +17,7 @@ import argparse
 import sys
 
 from .bench import (DEFAULT_GRANULARITIES, aggregate_locality, emit_csv,
-                    gen_rank_queries, gen_text_patterns, profile_access,
-                    profile_count, profile_rank, run_access_bench,
-                    run_count_bench, run_rank_bench)
+                    gen_rank_queries, gen_text_patterns, profile, run_bench)
 from .fmindex import STRUCTURES, FmIndex
 from .textgen import gen_query_positions, iter_gen_chunks, reinterpret
 from .wforest import WaveletForest
@@ -97,30 +95,24 @@ def _bench_one(structure, kind, args, block_bytes=None) -> None:
     """Time one structure and optionally profile locality; appends the
     rows to the CSV files and prints them."""
     q = args.queries
-    if isinstance(structure, FmIndex):
-        if kind != "count":
-            raise ValueError("access/rank benchmarks need a tree or forest file")
-        patterns = gen_text_patterns(structure, args.seed, q, args.pattern_len)
-        rows = run_count_bench(structure, patterns, args.repeats, block_bytes)
-        traced = patterns[: min(q, 1000)]
-        tracer = lambda p: profile_count(structure, p)[1]
+    if isinstance(structure, FmIndex) != (kind == "count"):
+        raise ValueError("count benchmarks need an FM-index file"
+                         if kind == "count" else
+                         "access/rank benchmarks need a tree or forest file")
+    if kind == "count":
+        calls = [(p,) for p in gen_text_patterns(structure, args.seed, q,
+                                                 args.pattern_len)]
     elif kind == "access":
-        positions = gen_query_positions(args.seed, q, len(structure))
-        rows = run_access_bench(structure, positions, args.repeats, block_bytes)
-        traced = positions[: min(q, 1000)]
-        tracer = lambda p: profile_access(structure, p)[1]
-    elif kind == "rank":
-        sigma = 1 << structure.alphabet_bits
-        queries = gen_rank_queries(args.seed, q, len(structure), sigma)
-        rows = run_rank_bench(structure, queries, args.repeats, block_bytes)
-        traced = queries[: min(q, 1000)]
-        tracer = lambda ci: profile_rank(structure, ci[0], ci[1])[1]
+        calls = [(p,) for p in gen_query_positions(args.seed, q,
+                                                   len(structure))]
     else:
-        raise ValueError("count benchmarks need an FM-index file")
-
+        calls = gen_rank_queries(args.seed, q, len(structure),
+                                 1 << structure.alphabet_bits)
+    rows = run_bench(structure, kind, calls, args.repeats, block_bytes)
     emit_csv(rows, args.csv)
     if args.locality_csv:
-        traces = [tracer(item) for item in traced]
+        query = getattr(structure, kind)
+        traces = [profile(query, *a)[1] for a in calls[:1000]]
         emit_csv([aggregate_locality(structure, traces, g, block_bytes)
                   for g in args.granularity or DEFAULT_GRANULARITIES],
                  args.locality_csv)

@@ -19,6 +19,7 @@ is a view of the array's backend section.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,12 +208,14 @@ class FmIndex(WordBuffer):
 
     def bwt_symbol(self, row: int, trace=None, base: int = 0) -> int:
         """BWT symbol of a row (0-based), the sentinel included."""
+        row = operator.index(row)
         if row < 0 or row > self._n:
             raise IndexError(f"row {row} out of range 0..{self._n}")
         return self._backend.access(row + 1, trace, base + 8 * self._back_at)
 
     def lf_step(self, row: int, trace=None, base: int = 0) -> int:
         """Row of the rotation one position to the left."""
+        row = operator.index(row)
         c = self.bwt_symbol(row, trace, base)
         if c == self.sentinel:
             return 0
@@ -221,7 +224,7 @@ class FmIndex(WordBuffer):
 
     def count(self, pattern, trace=None, base: int = 0) -> int:
         """Occurrences of the pattern in the text."""
-        pat = [int(c) for c in pattern]
+        pat = [operator.index(c) for c in pattern]
         if not pat:
             raise ValueError("pattern must be non-empty")
         sigma = 1 << self._alphabet_bits

@@ -32,9 +32,13 @@ inside the buffer, and each node's length against its parent's zero or
 one count, or for a root its block's symbol count.
 
 Positions are 1-based throughout, matching the bitvectors underneath.
+Public queries take any integer type and convert it with operator.index,
+so the word arithmetic runs on Python ints; a numpy int would overflow.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -219,6 +223,7 @@ class _Trees(WordBuffer):
 
     def access(self, i: int, trace=None, base: int = 0) -> int:
         """Symbol at position i; resolved inside block (i-1)//block_len."""
+        i = operator.index(i)
         if i < 1 or i > self._n:
             raise IndexError(f"position {i} out of range 1..{self._n}")
         k = (i - 1) // self._block_len
@@ -227,7 +232,7 @@ class _Trees(WordBuffer):
 
     def rank(self, c: int, i: int, trace=None, base: int = 0) -> int:
         """Occurrences of c in positions 1..i: before i's block, then in it."""
-        self._check_symbol(c)
+        c, i = self._symbol(c), operator.index(i)
         if i < 0 or i > self._n:
             raise IndexError(f"position {i} out of range 0..{self._n}")
         if i == 0:
@@ -239,7 +244,7 @@ class _Trees(WordBuffer):
 
     def select(self, c: int, j: int, trace=None, base: int = 0) -> int:
         """Position of the j-th occurrence of c."""
-        self._check_symbol(c)
+        c, j = self._symbol(c), operator.index(j)
         total = int(self._hist[c])
         if j < 1 or j > total:
             raise ValueError(f"symbol {c} occurs {total} times, ordinal {j}")
@@ -301,10 +306,12 @@ class _Trees(WordBuffer):
                               self._nlen[node], j, bit)
         return j
 
-    def _check_symbol(self, c: int):
+    def _symbol(self, c) -> int:
+        c = operator.index(c)
         if c < 0 or c >= (1 << self._alphabet_bits):
             raise ValueError(
                 f"symbol {c} outside alphabet 0..{(1 << self._alphabet_bits) - 1}")
+        return c
 
     # -- common accessors ----------------------------------------------
 

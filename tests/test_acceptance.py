@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from waveletforest.bench import (aggregate_locality, gen_rank_queries,
-                                 profile_access, run_access_bench,
-                                 run_rank_bench)
+                                 profile, run_bench)
 from waveletforest.cli import main as cli_main
 from waveletforest.fmindex import FmIndex, build_bwt
 from waveletforest.huffman import build_code_table, zeroth_order_entropy
@@ -269,7 +268,7 @@ def test_criterion_5_locality_properties():
     positions = gen_query_positions(5151, 1000, n)
 
     tree = WaveletTree.build(text, bits)
-    tree_traces = [profile_access(tree, p)[1] for p in positions]
+    tree_traces = [profile(tree.access, p)[1] for p in positions]
     tree_agg = aggregate_locality(tree, tree_traces, 64)
     tree_data = tree.data_section_bytes()
     # (c) tree reads range across its level bitmaps.
@@ -285,11 +284,11 @@ def test_criterion_5_locality_properties():
                   for k in range(forest.block_count)]
         traces = []
         for p in positions:
-            answer, tr = profile_access(forest, p)
+            answer, tr = profile(forest.access, p)
             assert answer == tree.access(p)
             # (a) all data reads inside exactly one block section.
             homes = set()
-            for off in tr.offsets:
+            for off in tr:
                 k = forest_block_of(bounds, off)
                 assert k is not None, f"offset {off} outside any block section"
                 homes.add(k)
@@ -401,11 +400,11 @@ def test_criterion_7_determinism_and_roundtrips(tmp_path):
     tree = WaveletTree.build(text, 8)
     forest = WaveletForest.build(text, 1000, 8)
     pos = gen_query_positions(3, 500, len(tree))
-    r1 = run_access_bench(tree, pos)[0].checksum
-    r2 = run_access_bench(forest, pos)[0].checksum
+    r1 = run_bench(tree, "access", [(p,) for p in pos])[0].checksum
+    r2 = run_bench(forest, "access", [(p,) for p in pos])[0].checksum
     assert r1 == r2 == (sum(int(text[p - 1]) for p in pos) & MASK)
     rq = gen_rank_queries(3, 500, len(tree), 256)
-    assert (run_rank_bench(tree, rq)[0].checksum
-            == run_rank_bench(forest, rq)[0].checksum)
+    assert (run_bench(tree, "rank", rq)[0].checksum
+            == run_bench(forest, "rank", rq)[0].checksum)
     print(f"\n[acceptance] criterion 7 (determinism: byte-identical gen, "
           f"{roundtripped} structures round-tripped bit-exactly): PASS")

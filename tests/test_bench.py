@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from waveletforest.bench import (BENCH_COLUMNS, LOCALITY_COLUMNS, BenchResult,
-                                 LocalitySummary, TouchTrace,
-                                 aggregate_locality, emit_csv,
-                                 gen_rank_queries, gen_text_patterns,
-                                 profile_access, profile_count, profile_rank,
-                                 profile_select, run_access_bench,
-                                 run_count_bench, run_rank_bench,
-                                 summarize_locality)
+                                 LocalitySummary, aggregate_locality, emit_csv,
+                                 gen_rank_queries, gen_text_patterns, profile,
+                                 run_bench, summarize_locality)
 from waveletforest.fmindex import FmIndex
 from waveletforest.textgen import gen_query_positions
 from waveletforest.wforest import WaveletForest
@@ -33,11 +29,11 @@ def forest(text):
 
 
 def test_summarize_locality_examples():
-    p = summarize_locality(TouchTrace([0, 8, 16]), 64)
+    p = summarize_locality([0, 8, 16], 64)
     assert (p.distinct_regions, p.span_bytes) == (1, 16)
-    p = summarize_locality(TouchTrace([0, 70]), 64)
+    p = summarize_locality([0, 70], 64)
     assert (p.distinct_regions, p.span_bytes) == (2, 70)
-    p = summarize_locality(TouchTrace([]), 64)
+    p = summarize_locality([], 64)
     assert (p.distinct_regions, p.span_bytes) == (0, 0)
     p = summarize_locality([4096, 0], 4096)
     assert (p.distinct_regions, p.span_bytes) == (2, 4096)
@@ -49,7 +45,7 @@ def test_summarize_locality_examples():
 
 def test_access_bench_rows_and_checksum(text, tree):
     positions = gen_query_positions(5, 200, len(tree))
-    rows = run_access_bench(tree, positions, repeats=3)
+    rows = run_bench(tree, "access", [(p,) for p in positions], repeats=3)
     assert len(rows) == 3
     expected = sum(int(text[p - 1]) for p in positions) & ((1 << 64) - 1)
     for rep, r in enumerate(rows, start=1):
@@ -67,7 +63,7 @@ def test_access_bench_rows_and_checksum(text, tree):
 
 
 def test_zero_queries_row(tree):
-    rows = run_access_bench(tree, [], repeats=2)
+    rows = run_bench(tree, "access", [], repeats=2)
     assert len(rows) == 2
     for r in rows:
         assert r.queries == 0
@@ -77,14 +73,14 @@ def test_zero_queries_row(tree):
 
 def test_tree_forest_checksums_agree(tree, forest):
     positions = gen_query_positions(9, 300, len(tree))
-    t = run_access_bench(tree, positions)[0]
-    f = run_access_bench(forest, positions)[0]
+    t = run_bench(tree, "access", [(p,) for p in positions])[0]
+    f = run_bench(forest, "access", [(p,) for p in positions])[0]
     assert t.checksum == f.checksum
     assert f.structure == "forest"
     assert f.block_bytes == 4000
     queries = gen_rank_queries(9, 300, len(tree), 256)
-    tr = run_rank_bench(tree, queries)[0]
-    fr = run_rank_bench(forest, queries)[0]
+    tr = run_bench(tree, "rank", queries)[0]
+    fr = run_bench(forest, "rank", queries)[0]
     assert tr.checksum == fr.checksum
     assert tr.query_kind == "rank"
 
@@ -112,7 +108,7 @@ def test_count_pattern_generation(text):
 def test_count_bench(text):
     fm = FmIndex.build(text[:3000], 8, backend="forest", block_len=500)
     pats = gen_text_patterns(fm, 2, 30, 2)
-    rows = run_count_bench(fm, pats, repeats=2)
+    rows = run_bench(fm, "count", [(p,) for p in pats], repeats=2)
     assert len(rows) == 2
     assert rows[0].structure == "forest"
     assert rows[0].alphabet_bits == 8
@@ -126,26 +122,26 @@ def test_count_bench(text):
 def test_profiles_return_plain_answers(text, tree, forest):
     rng = np.random.default_rng(1)
     for i in rng.integers(1, len(text) + 1, 25).tolist():
-        a, tr = profile_access(tree, i)
+        a, tr = profile(tree.access, i)
         assert a == tree.access(i)
-        assert isinstance(tr, TouchTrace) and tr.offsets
-        a, tr = profile_access(forest, i)
+        assert isinstance(tr, list) and tr
+        a, tr = profile(forest.access, i)
         assert a == forest.access(i)
     c, i = 17, 20_000
-    a, tr = profile_rank(forest, c, i)
+    a, tr = profile(forest.rank, c, i)
     assert a == forest.rank(c, i)
-    a, tr = profile_select(tree, c, 1)
+    a, tr = profile(tree.select, c, 1)
     assert a == tree.select(c, 1)
     fm = FmIndex.build(text[:2000], 8)
-    a, tr = profile_count(fm, [int(text[0]), int(text[1])])
+    a, tr = profile(fm.count, [int(text[0]), int(text[1])])
     assert a == fm.count([int(text[0]), int(text[1])])
-    assert tr.offsets
+    assert tr
 
 
 def test_rank_at_zero_has_empty_trace(tree, forest):
     for s in (tree, forest):
-        _, tr = profile_rank(s, 3, 0)
-        assert tr.offsets == []
+        _, tr = profile(s.rank, 3, 0)
+        assert tr == []
 
 
 def test_uniform_16_symbol_access_touches_exactly_4_nodes():
@@ -160,15 +156,15 @@ def test_uniform_16_symbol_access_touches_exactly_4_nodes():
     starts = [wt.node_offset(k) for k in range(wt.node_count)]
     ends = [s + wt.node(k).size_bytes() for k, s in enumerate(starts)]
     for i in (1, 5000, 32000, len(text)):
-        _, tr = profile_access(wt, i)
-        nodes_hit = {k for off in tr.offsets
+        _, tr = profile(wt.access, i)
+        nodes_hit = {k for off in tr
                      for k in range(len(starts)) if starts[k] <= off < ends[k]}
         assert len(nodes_hit) == 4
 
 
 def test_forest_access_span_bounded_by_block_section(forest):
     positions = gen_query_positions(11, 200, len(forest))
-    traces = [profile_access(forest, p)[1] for p in positions]
+    traces = [profile(forest.access, p)[1] for p in positions]
     agg = aggregate_locality(forest, traces, 64)
     assert agg.queries == 200
     assert agg.mean_span_bytes <= forest.max_block_section_bytes()
@@ -178,8 +174,8 @@ def test_forest_access_span_bounded_by_block_section(forest):
 
 
 def test_aggregate_locality_means():
-    t1 = TouchTrace([0, 64])    # 2 regions at g=64, span 64
-    t2 = TouchTrace([0])        # 1 region, span 0
+    t1 = [0, 64]    # 2 regions at g=64, span 64
+    t2 = [0]        # 1 region, span 0
     class Fake:
         alphabet_bits = 8
         def __len__(self):
@@ -233,6 +229,6 @@ def test_emit_csv_rejects_mixed_rows(tmp_path):
 
 def test_bench_determinism(tree):
     positions = gen_query_positions(21, 100, len(tree))
-    a = run_access_bench(tree, positions)[0]
-    b = run_access_bench(tree, positions)[0]
+    a = run_bench(tree, "access", [(p,) for p in positions])[0]
+    b = run_bench(tree, "access", [(p,) for p in positions])[0]
     assert a.checksum == b.checksum

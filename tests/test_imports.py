@@ -2,13 +2,16 @@
 
 A name an import binds counts as used when the module reads it
 (an ast.Name, also inside a string annotation), lists it in __all__,
-or imports it on a line marked "# noqa: F401".
+or imports it on a line marked "# noqa: F401". Every name in the
+package's __all__ is listed once and is an attribute of the package.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import waveletforest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "waveletforest"
 
@@ -64,3 +67,9 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_all_names_are_unique_package_attributes():
+    names = waveletforest.__all__
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert [n for n in names if not hasattr(waveletforest, n)] == []
