@@ -75,46 +75,107 @@ class Bwt:
 def build_bwt(symbols, alphabet_bits: int) -> Bwt:
     """BWT of the text extended with its unique smallest sentinel.
 
+    The rotations are ordered by _suffix_array: prefix doubling over
+    packed first keys that re-sorts only tied suffixes, with int32
+    order and ranks below 2^31 symbols. Its traced peak is about 26
+    bytes per symbol on uniform 8-bit text and at most 42 where most
+    suffixes stay tied for many rounds (a unary text).
+
     Raises ValueError unless alphabet_bits is in 1..MAX_ALPHABET_BITS
     (15): the sentinel 2^alphabet_bits widens the alphabet by one bit.
     Raises ValueError for an empty text, and for one longer than
-    _MAX_TEXT (about 3.0e9), whose suffix sort keys would overflow int64."""
+    _MAX_TEXT (about 3.0e9), whose suffix sort keys would overflow int64;
+    the length is checked before any symbol is read."""
     if alphabet_bits > MAX_ALPHABET_BITS:
         raise ValueError(f"FM-index alphabet_bits must be in "
                          f"1..{MAX_ALPHABET_BITS}")
-    arr = _as_symbol_array(symbols, alphabet_bits)
-    n = int(arr.size)
-    if n == 0:
+    arr = np.asarray(getattr(symbols, "symbols", symbols))
+    if arr.size > _MAX_TEXT:
+        raise ValueError(f"text of {arr.size} symbols is too long to "
+                         f"transform")
+    arr = _as_symbol_array(arr, alphabet_bits)
+    if arr.size == 0:
         raise ValueError("cannot transform an empty text")
-    if n > _MAX_TEXT:
-        raise ValueError(f"text of {n} symbols is too long to transform")
-    # Sentinel gets sort key 0, text symbols shift up by one.
-    sa = _suffix_array(np.append(arr.astype(np.int64) + 1, 0))
+    sa = _suffix_array(arr, alphabet_bits)
     dtype = np.uint16 if alphabet_bits >= 8 else np.uint8
     full = np.append(arr, 1 << alphabet_bits).astype(dtype)
-    transformed = full[(sa - 1) % (n + 1)]
+    # The suffix at 0 wraps round to the sentinel, full[-1].
+    transformed = full[sa - 1]
     primary = int(np.flatnonzero(sa == 0)[0])
     return Bwt(alphabet_bits=alphabet_bits, primary_index=primary,
                transformed=transformed)
 
 
-def _suffix_array(keys: np.ndarray) -> np.ndarray:
-    """Suffix ordering by prefix doubling; keys must end in a unique
-    minimum so every suffix comparison resolves. Each round sorts the
-    int64 keys rank * (n + 1) + (rank k suffixes later + 1, or 0 past the
-    end), below (n + 1)^2; equal keys get equal ranks, so any sort will do."""
-    n = len(keys)
-    key, k = keys, 1
-    while True:
+def _suffix_array(symbols: np.ndarray, alphabet_bits: int) -> np.ndarray:
+    """Suffix ordering of symbols followed by a sentinel below every
+    symbol, by prefix doubling that re-sorts only tied suffixes (Larsson
+    and Sadakane, TCS 2007).
+
+    The first sort orders the suffixes by their first q symbols, packed
+    into one int64 key in base 2^alphabet_bits + 1 (the sentinel and the
+    positions past it are digit 0), with q the largest count whose keys
+    stay below 2^62: 39 symbols at 1 bit, 7 at 8 bits, 4 at 15 bits. A
+    suffix's rank is then the sorted position where its group of equal
+    keys starts. Each later round, with h symbols already sorted, sorts
+    only the suffixes in groups of two or more, by (rank, rank of the
+    suffix h later); ranks are updated in place and h doubles. A tied
+    suffix never reaches the sentinel within h symbols, so the suffix h
+    later exists. A suffix drops out once its group has one member.
+
+    The order and the ranks are int32 below 2^31 suffixes, int64 above.
+    The first sort holds 20 bytes per suffix (int64 keys, their int64
+    permutation and its int32 copy). A round holds 8 per suffix, the
+    order and the ranks, plus at most 34 per tied suffix: its int64 keys,
+    permutation and sorted keys, or its runs and the compacted ties."""
+    size = symbols.size + 1
+    itype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    base = (1 << alphabet_bits) + 1
+    q = 1
+    while base ** (q + 1) < 1 << 62:
+        q += 1
+    key = np.zeros(size, np.int64)
+    for j in range(min(q, size - 1)):
+        key *= base
+        key[:size - 1 - j] += symbols[j:]
+        key[:size - 1 - j] += 1
+    sa = np.argsort(key).astype(itype)
+    key.sort()
+    rank = np.empty(size, itype)
+    tied, idx, group = _rank_groups(key, sa, np.arange(size, dtype=itype),
+                                    rank)
+    h = q
+    while tied.size:
+        key = group.astype(np.int64)
+        del group
+        key *= size
+        idx += h
+        key += rank[idx]
+        idx -= h
         order = np.argsort(key)
-        srt = key[order]
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.cumsum(np.concatenate([[0], srt[1:] != srt[:-1]]))
-        if int(rank[order[-1]]) == n - 1:
-            return order
-        key = rank * (n + 1)
-        key[:n - k] += rank[k:] + 1
-        k <<= 1
+        idx = idx[order]
+        key = key[order]
+        del order
+        sa[tied] = idx
+        tied, idx, group = _rank_groups(key, idx, tied, rank)
+        h <<= 1
+    return sa
+
+
+def _rank_groups(key: np.ndarray, idx: np.ndarray, pos: np.ndarray,
+                 rank: np.ndarray):
+    """Rank the suffixes idx, in the order of their sorted keys and
+    at the ascending sorted positions pos: each gets the position where
+    its run of equal keys starts. Returns the positions, suffixes and
+    ranks of those whose run has two or more."""
+    new = np.empty(key.size, bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    start = np.where(new, pos, 0)
+    np.maximum.accumulate(start, out=start)
+    rank[idx] = start
+    new[:-1] &= new[1:]  # first and last of its run: a single
+    tied = ~new
+    return pos[tied], idx[tied], start[tied]
 
 
 class FmIndex(WordBuffer):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,13 +32,43 @@ def test_abracadabra_bwt():
 
 def test_bwt_matches_naive_rotation_sort():
     rng = np.random.default_rng(0)
-    for bits, n in [(1, 1), (1, 2), (2, 50), (4, 200), (8, 400)]:
-        text = rng.integers(0, 1 << bits, n).astype(np.uint8)
+    cases = [(bits, rng.integers(0, 1 << bits, n))
+             for bits, n in [(1, 1), (1, 2), (2, 50), (4, 200), (8, 400),
+                             (15, 300)]]
+    # Periodic texts stay tied long after the packed first sort (39
+    # symbols at 1 bit, 7 at 8, 4 at 15), so 5 to 7 doubling rounds follow.
+    cases += [(bits, np.resize(rng.integers(0, 1 << bits, period), n))
+              for bits, period, n in [(1, 1, 700), (2, 2, 600), (8, 3, 500),
+                                      (8, 37, 900), (15, 37, 500)]]
+    for bits, text in cases:
+        text = text.astype(np.uint16 if bits > 8 else np.uint8)
         bwt = build_bwt(text, bits)
         last, primary = naive_bwt(text.tolist(), sentinel=1 << bits)
         assert bwt.transformed.tolist() == [
             1 << bits if c == 1 << bits else c for c in last]
         assert bwt.primary_index == primary
+
+
+@pytest.mark.parametrize("kind", ["uniform8", "repeated8", "unary1"])
+def test_build_bwt_traced_peak_is_at_most_48_bytes_per_symbol(kind):
+    n = 1 << 18
+    rng = np.random.default_rng(5)
+    if kind == "uniform8":
+        text, bits = rng.integers(0, 256, n).astype(np.uint8), 8
+    elif kind == "repeated8":  # as bwt-count makes its text
+        text = np.resize(rng.integers(0, 256, 5000).astype(np.uint8), n)
+        hit = rng.random(n) < 0.01
+        text[hit] = rng.integers(0, 256, int(hit.sum()))
+        bits = 8
+    else:
+        text, bits = np.zeros(n, np.uint8), 1
+    tracemalloc.start()
+    try:
+        build_bwt(text, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * n
 
 
 def test_bwt_of_repetitive_text():
