@@ -77,8 +77,8 @@ def build_bwt(symbols, alphabet_bits: int) -> Bwt:
 
     The rotations are ordered by _suffix_array: prefix doubling over
     packed first keys that re-sorts only tied suffixes, with int32
-    order and ranks below 2^31 symbols. Its traced peak is about 26
-    bytes per symbol on uniform 8-bit text and at most 42 where most
+    order and ranks below 2^31 symbols. Its traced peak is about 25
+    bytes per symbol on uniform 8-bit text and at most 40 where most
     suffixes stay tied for many rounds (a unary text).
 
     Raises ValueError unless alphabet_bits is in 1..MAX_ALPHABET_BITS
@@ -125,8 +125,8 @@ def _suffix_array(symbols: np.ndarray, alphabet_bits: int) -> np.ndarray:
     The order and the ranks are int32 below 2^31 suffixes, int64 above.
     The first sort holds 20 bytes per suffix (int64 keys, their int64
     permutation and its int32 copy). A round holds 8 per suffix, the
-    order and the ranks, plus at most 34 per tied suffix: its int64 keys,
-    permutation and sorted keys, or its runs and the compacted ties."""
+    order and the ranks, plus at most 32 per tied suffix: its int64 keys,
+    their int64 permutation and sorted copy, its position and suffix."""
     size = symbols.size + 1
     itype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
     base = (1 << alphabet_bits) + 1
@@ -174,8 +174,10 @@ def _rank_groups(key: np.ndarray, idx: np.ndarray, pos: np.ndarray,
     np.maximum.accumulate(start, out=start)
     rank[idx] = start
     new[:-1] &= new[1:]  # first and last of its run: a single
-    tied = ~new
-    return pos[tied], idx[tied], start[tied]
+    tied = np.logical_not(new, out=new)
+    group = start[tied]
+    del start
+    return pos[tied], idx[tied], group
 
 
 class FmIndex(WordBuffer):
