@@ -162,7 +162,8 @@ def _suffix_array(symbols: np.ndarray, alphabet_bits: int) -> np.ndarray:
 
 
 def _rank_groups(key: np.ndarray, idx: np.ndarray, pos: np.ndarray,
-                 rank: np.ndarray):
+                 rank: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
     """Rank the suffixes idx, in the order of their sorted keys and
     at the ascending sorted positions pos: each gets the position where
     its run of equal keys starts. Returns the positions, suffixes and
