@@ -97,10 +97,22 @@ def word_view(words: np.ndarray) -> memoryview:
     return memoryview(words).cast("B").cast("Q")
 
 
-def table(values, dtype=np.int64) -> memoryview:
-    """A query table: values as one contiguous array, read item by item
-    through a memoryview, whose items are Python ints."""
-    return memoryview(np.ascontiguousarray(values, dtype))
+# The integer types a table may take, smallest first, with their ranges.
+_NARROW = [(np.dtype(t), int(np.iinfo(t).min), int(np.iinfo(t).max))
+           for t in (np.uint8, np.int8, np.uint16, np.int16, np.uint32,
+                     np.int32, np.uint64, np.int64)]
+
+
+def narrowest(hi: int, lo: int = 0) -> np.dtype:
+    """The smallest integer type holding every value in lo..hi."""
+    return next(t for t, tmin, tmax in _NARROW if tmin <= lo and hi <= tmax)
+
+
+def table(values, hi: int, lo: int = 0) -> memoryview:
+    """A query table: values, all in lo..hi, as one contiguous array of
+    the narrowest type that holds that range, read item by item through
+    a memoryview, whose items are Python ints."""
+    return memoryview(np.ascontiguousarray(values, narrowest(hi, lo)))
 
 
 class TracedWords:

@@ -48,6 +48,10 @@ SELECT_SAMPLE = 8192
 # All integers little-endian; every section lands 8-byte aligned.
 WORDS_AT = 2  # word index of the packed bits within a section
 
+# Sections that write_sections completes per batch: its scratch arrays
+# then hold one batch's words, not every section's.
+_CHUNK = 1 << 14
+
 
 def section_offsets(starts, lengths):
     """Word offsets of the packed words and of the rank directory of the
@@ -98,10 +102,17 @@ def write_sections(buf, starts, lengths, ones) -> None:
     """Complete the bitvector sections that start at word offsets
     `starts` of buf: each section's packed words must already sit where
     section_offsets puts them; this writes the header, rank directory
-    and select samples of all of them in a few array passes."""
+    and select samples of all of them, _CHUNK sections per few array
+    passes."""
     starts = np.asarray(starts, np.int64)
     lengths = np.asarray(lengths, np.int64)
     ones = np.asarray(ones, np.int64)
+    for lo in range(0, len(starts), _CHUNK):
+        at = slice(lo, lo + _CHUNK)
+        _write_batch(buf, starts[at], lengths[at], ones[at])
+
+
+def _write_batch(buf, starts, lengths, ones) -> None:
     nsec = len(starts)
     nwords = (lengths + 63) // 64
     ndir = lengths // SUPER_BITS

@@ -87,7 +87,8 @@ def cmd_build(args) -> int:
     with open(args.out, "wb") as fh:
         fh.write(blob)
     print(f"built {args.structure} over {len(seq)} symbols "
-          f"({bits}-bit), {len(blob)} bytes -> {args.out}")
+          f"({bits}-bit), {len(blob)} bytes -> {args.out}; "
+          f"query tables {structure.index_bytes()} bytes in memory")
     return 0
 
 

@@ -85,7 +85,7 @@ class WaveletForest(_Trees):
                             8 * len(buf)) // 8
         self._n = n
         self._block_len = block_len
-        self._row_at = table(row_at)
+        self._row_at = table(row_at, len(buf))
         self._index(buf, row_at + (1 << bits), bits, _HEADER_WORDS + m)
 
     # -- construction ------------------------------------------------
@@ -125,6 +125,9 @@ class WaveletForest(_Trees):
 
     def _before(self, mv, k: int, c: int) -> int:
         return mv[self._row_at[k] + c]
+
+    def index_bytes(self) -> int:
+        return super().index_bytes() + self._row_at.nbytes
 
     # -- sizes and serialization --------------------------------------
 

@@ -21,15 +21,21 @@ out.
 
 The index is a set of flat numpy tables, read by the queries item by
 item through memoryviews: per node its word offsets, length and
-children, per tree its root, per code-table entry its code and length,
-and a dense int32 table from (block << alphabet_bits) + symbol to the
-entry, -1 where the block lacks the symbol. That last one takes 4 bytes
-per (block, symbol), half of a forest's u64 rank rows. Loading derives
-every table and checks the sections against each other: headers, block
-symbol counts against n and block_len, canonical code tables forming
-complete prefix codes, node counts, offsets and bitvector sections
-inside the buffer, and each node's length against its parent's zero or
-one count, or for a root its block's symbol count.
+children, per tree its root and first entry, per code-table entry its
+code and length, and a dense table from (block << alphabet_bits) +
+symbol to the symbol's 1-based entry number inside its block, 0 where
+the block lacks the symbol. Each table is held in the narrowest integer
+type that the bounds loading already knows allow (_bits.table): the
+buffer's length for word offsets, block_len for node lengths and entry
+numbers, the node count and alphabet for children and roots, the
+deepest code for codes and their lengths. The dense table then takes
+one byte per (block, symbol) where the blocks or the alphabet hold
+fewer than 256 symbols, an eighth of a forest's u64 rank rows. Loading derives every table and
+checks the sections against each other: headers, block symbol counts
+against n and block_len, canonical code tables forming complete prefix
+codes, node counts, offsets and bitvector sections inside the buffer,
+and each node's length against its parent's zero or one count, or for a
+root its block's symbol count, with every leaf holding a symbol.
 
 Positions are 1-based throughout, matching the bitvectors underneath.
 Public queries take any integer type and convert it with operator.index,
@@ -44,7 +50,8 @@ import numpy as np
 
 from . import bitvec
 from ._bits import (_U64, WordBuffer, _ceil8, header_fields, header_word,
-                    ranges, read_words, table, truncated, word_view)
+                    narrowest, ranges, read_words, table, truncated,
+                    word_view)
 from .huffman import CodeTable, canonical_codes, code_lengths
 # Unused here: perfbench's traced run wraps wtree.build_code_table by name.
 from .huffman import build_code_table  # noqa: F401
@@ -127,7 +134,7 @@ class _Trees(WordBuffer):
     """Flat index over the tree sections of one u64 word buffer."""
 
     __slots__ = ("_n", "_block_len", "_alphabet_bits", "_hist", "_tree_end",
-                 "_data_words", "_root", "_entry", "_code", "_clen",
+                 "_data_words", "_root", "_entry", "_estart", "_code", "_clen",
                  "_nw", "_nd", "_nlen", "_left", "_right")
 
     def _index(self, buf: np.ndarray, tree_at: np.ndarray, alphabet_bits: int,
@@ -158,7 +165,8 @@ class _Trees(WordBuffer):
         if ((es < 0) | (es >= sigma)).any():
             raise ValueError("code table symbol outside the alphabet")
         ek = np.repeat(np.arange(m), ncodes)
-        codes, _, first, _, left, right = _shape(ek, el, ncodes)
+        codes, inner, first, _, left, right = _shape(ek, el, ncodes)
+        deepest = inner.shape[1] - 1
 
         nk = np.repeat(np.arange(m), nnodes)
         starts = tree_at[nk] + read_words(buf, ranges(count_at + 1, nnodes),
@@ -170,13 +178,17 @@ class _Trees(WordBuffer):
         tree_end[has] = (starts + sizes)[last]
 
         # A root holds its whole block (word 1 of its tree section), a
-        # child its parent's zeros (left) or ones (right).
+        # child its parent's zeros (left) or ones (right), and a leaf at
+        # least one symbol; so no node holds more than block_len symbols
+        # and no block more than block_len entries.
         child = np.concatenate([left, right, first[has, 0]])
         count = np.concatenate([lengths - ones, ones,
                                 buf[tree_at[has] + 1].astype(np.int64)])
         node = child >= 0
         if (lengths[child[node]] != count[node]).any():
             raise ValueError("node lengths do not match their parents' bit counts")
+        if (count[~node] < 1).any():
+            raise ValueError("a leaf of the code holds no symbols")
         # Leaf counts: a leaf holds its parent's zeros or ones; a lone
         # symbol holds its whole block.
         lone = ncodes == 1
@@ -189,31 +201,43 @@ class _Trees(WordBuffer):
         root = first[:, 0].copy()
         root[lone] = -es[estart[lone]] - 1
         root[ncodes == 0] = -1
-        # (block << alphabet_bits) + symbol -> entry, -1 where absent.
-        entry = np.full(m << alphabet_bits, -1, np.int32)
-        entry[(ek << alphabet_bits) + es] = np.arange(len(es))
+        # (block << alphabet_bits) + symbol -> the symbol's 1-based entry
+        # number in its block, 0 where the block lacks it.
+        per_block = min(sigma, self._block_len)
+        entry = np.zeros(m << alphabet_bits, narrowest(per_block))
+        entry[(ek << alphabet_bits) + es] = np.arange(1, len(es) + 1) - estart[ek]
         # Canonical tables, as built and as canonical_codes assumes:
         # (length, symbol) strictly increasing, no symbol in two entries.
         if ((np.diff((ek * 65 + el) * sigma + es) <= 0).any()
-                or np.count_nonzero(entry >= 0) != len(es)):
+                or np.count_nonzero(entry) != len(es)):
             raise ValueError("code table not canonical")
         nw, nd = bitvec.section_offsets(starts, lengths)
 
+        nodes = len(lengths)
         self._buf = buf[:max(int(tree_end.max(initial=0)), min_end)]
         self._mv = word_view(self._buf)
         self._alphabet_bits = alphabet_bits
         self._hist = hist
         self._tree_end = tree_end
-        self._data_words = np.bincount(nk, sizes, minlength=m).astype(np.int64)
-        self._root = table(root)
-        self._entry = table(entry, np.int32)
-        self._code = table(codes, _U64)
-        self._clen = table(el)
-        self._nw = table(nw)
-        self._nd = table(nd)
-        self._nlen = table(lengths)
-        self._left = table(child[:len(left)])
-        self._right = table(child[len(left):2 * len(left)])
+        self._data_words = int(sizes.sum())
+        self._root = table(root, nodes, -sigma)
+        self._entry = table(entry, per_block)
+        self._estart = table(estart, len(es))
+        self._code = table(codes, (1 << deepest) - 1)
+        self._clen = table(el, deepest)
+        self._nw = table(nw, len(buf))
+        self._nd = table(nd, len(buf))
+        self._nlen = table(lengths, self._block_len)
+        self._left = table(child[:len(left)], nodes, -sigma)
+        self._right = table(child[len(left):2 * len(left)], nodes, -sigma)
+
+    def index_bytes(self) -> int:
+        """Bytes of the query tables that loading derives and keeps
+        beside the serialized words."""
+        return sum(t.nbytes for t in (
+            self._hist, self._tree_end, self._root, self._entry,
+            self._estart, self._code, self._clen, self._nw, self._nd,
+            self._nlen, self._left, self._right))
 
     # -- queries: block k = (i - 1) // block_len, then inside its tree --
 
@@ -278,8 +302,9 @@ class _Trees(WordBuffer):
 
     def _rank_in(self, mv, k: int, c: int, i: int) -> int:
         e = self._entry[(k << self._alphabet_bits) + c]
-        if e < 0:
+        if not e:
             return 0
+        e += self._estart[k] - 1
         nw, nd = self._nw, self._nd
         code = self._code[e]
         node = self._root[k]
@@ -293,7 +318,7 @@ class _Trees(WordBuffer):
 
     def _select_in(self, mv, k: int, c: int, j: int) -> int:
         """j-th occurrence of c in tree k; the caller checks 1 <= j <= count."""
-        e = self._entry[(k << self._alphabet_bits) + c]
+        e = self._estart[k] + self._entry[(k << self._alphabet_bits) + c] - 1
         code = self._code[e]
         path = []
         node = self._root[k]
@@ -407,7 +432,9 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
     el = code_lengths(ek, ef)
 
     # Canonical entry order (tree, length, symbol) and the tree shapes.
-    order = np.lexsort((es, el, ek))
+    # Entries arrive in (block, symbol) order, so a stable sort by
+    # (block, length) orders them by (block, length, symbol).
+    order = np.argsort(ek * 65 + el, kind="stable")
     codes_c, inner, first, nd, left, right = _shape(ek[order], el[order],
                                                     ncodes)
     codes = np.empty_like(codes_c)
@@ -582,7 +609,7 @@ class WaveletTree(_Trees):
 
     def data_section_bytes(self) -> int:
         """Serialized bytes of the node sections alone."""
-        return 8 * int(self._data_words[0])
+        return 8 * self._data_words
 
 
 def _as_symbol_array(symbols, alphabet_bits):

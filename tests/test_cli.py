@@ -68,6 +68,16 @@ def test_build_forest_block_conversion(tmp_path, data_file):
     assert len(wf) == 4 * 4096
 
 
+def test_build_prints_the_query_table_bytes(tmp_path, data_file, capsys):
+    out = tmp_path / "f.wf"
+    assert main(["build", "--input", data_file, "--alphabet-bits", "8",
+                 "--structure", "forest", "--block-bytes", "32",
+                 "--out", str(out)]) == 0
+    wf = WaveletForest.from_bytes(out.read_bytes())
+    assert (f"query tables {wf.index_bytes()} bytes in memory"
+            in capsys.readouterr().out)
+
+
 def test_build_flag_validation(tmp_path, data_file, capsys):
     out = str(tmp_path / "x.bin")
     assert main(["build", "--input", data_file, "--alphabet-bits", "8",

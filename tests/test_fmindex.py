@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from waveletforest.fmindex import Bwt, FmIndex, build_bwt
+from waveletforest.fmindex import Bwt, FmIndex, _packed_keys, build_bwt
 from waveletforest.wforest import WaveletForest
 from waveletforest.wtree import WaveletTree
 
@@ -320,3 +320,18 @@ def test_a_backend_section_must_be_a_tree_or_forest():
     blob = fm.to_bytes()[:back_at] + inner
     with pytest.raises(ValueError, match="unrecognized FM-index backend"):
         FmIndex.from_bytes(blob)
+
+
+@pytest.mark.parametrize("bits", [1, 8, 15])
+@pytest.mark.parametrize("n", [0, 1, 3, 38, 39, 40, 300])
+def test_packed_keys_equal_digit_by_digit_packing(bits, n):
+    # Digits are symbol + 1, then 0 at the sentinel and past it; q is
+    # the first sort's depth at each width (39, 7 and 4 symbols).
+    base = (1 << bits) + 1
+    q = {1: 39, 8: 7, 15: 4}[bits]
+    dtype = np.uint16 if bits > 8 else np.uint8
+    symbols = np.random.default_rng(n).integers(0, 1 << bits, n).astype(dtype)
+    digits = symbols.astype(np.int64).tolist() + [-1] * (q + 1)
+    want = [sum((digits[p + j] + 1) * base ** (q - 1 - j) for j in range(q))
+            for p in range(n + 1)]
+    assert _packed_keys(symbols, base, q).tolist() == want

@@ -504,3 +504,16 @@ def test_load_rejects_non_canonical_code_tables():
             edit(bad[table_at + 1::2])  # the entries' symbols come first
             with pytest.raises(ValueError, match="code table"):
                 type(structure).from_bytes(bad.tobytes())
+
+
+def test_small_block_query_tables_take_at_most_a_quarter_of_the_structure():
+    # 8192 blocks of 32 uniform 8-bit symbols: about 30 entries and 29
+    # nodes a block, whose tables take narrow types; the dense
+    # (block, symbol) table takes one byte per pair.
+    text = np.random.default_rng(18).integers(0, 256, 1 << 18)
+    built = WaveletForest.build(text, 32, 8)
+    loaded = WaveletForest.from_bytes(built.to_bytes())
+    assert loaded.index_bytes() == built.index_bytes()
+    assert built.index_bytes() <= 0.25 * built.size_bytes()
+    fm = FmIndex.build(text[:4096], 8, "forest", 32)
+    assert fm.index_bytes() == fm.backend.index_bytes() > 0

@@ -406,3 +406,14 @@ def test_build_routes_63_bit_codes_and_rejects_64_bit_ones(monkeypatch, depth):
             hits = (np.flatnonzero(text == c) + 1).tolist()
             assert [wt.rank(c, i) for i in hits] == [1, 2, 3]
             assert [wt.select(c, j) for j in (1, 2, 3)] == hits
+
+
+def test_load_rejects_a_leaf_that_holds_no_symbols():
+    # Two symbols, so the root's set bits are the right leaf's count:
+    # clearing them all leaves symbol 1 with a code and no occurrences.
+    wt = WaveletTree.build(np.array([0, 1] * 50), 1)
+    bad = bytearray(wt.to_bytes())
+    words = wt.node_offset(0) + 16
+    bad[words:words + 16] = bytes(16)
+    with pytest.raises(ValueError):
+        WaveletTree.from_bytes(bytes(bad))
