@@ -1,7 +1,8 @@
 """Packed bitvector with constant-time rank and sampled select.
 
 Positions are 1-based. Bit i lives in word (i - 1) // 64 at intra-word
-offset (i - 1) % 64, words filled LSB-first. Alongside the raw words the
+offset (i - 1) % 64, words filled LSB-first; the last word's bits past
+the length are padding, and must be clear. Alongside the raw words the
 vector keeps a rank directory (cumulative popcount at every 512-bit
 boundary) and select samples (the position of every 8192nd set bit and
 every 8192nd clear bit).
@@ -68,9 +69,9 @@ def section_words(length, ones):
 
 def read_sections(buf, starts):
     """Length, set-bit count and size in words of the bitvector sections
-    at word offsets starts of buf, each checked to lie inside buf. The
-    set bits are the last rank directory entry plus the popcount of the
-    words after it."""
+    at word offsets starts of buf, each checked to lie inside buf and to
+    have clear padding bits. The set bits are the last rank directory
+    entry plus the popcount of the words after it."""
     starts = np.asarray(starts, np.int64)
     if (buf[inside(buf, starts)] != MAGIC_WORD).any():
         raise ValueError("bad bitvector magic")
@@ -81,6 +82,11 @@ def read_sections(buf, starts):
     dir_end = dir_at + ndir
     if (dir_end >= len(buf)).any():  # the 1-sample count follows
         raise truncated()
+    # Padding, the last word's bits from length % 64 up, must be clear;
+    # two shifts drop a full last word, where one by 64 is undefined.
+    shift = ((lengths - 1) & 63).astype(_U64)
+    if ((buf[dir_at - 1] >> shift) >> 1).any():
+        raise ValueError("bitvector has a padding bit set past its length")
     ones = np.where(ndir > 0, buf[dir_end - 1], 0).astype(np.int64)
     tail = nwords - 8 * ndir
     ones += np.bincount(np.repeat(np.arange(len(starts)), tail),
@@ -243,10 +249,12 @@ class BitVector(WordBuffer):
 
     @classmethod
     def from_words(cls, words: np.ndarray, length: int) -> "BitVector":
-        """Build from pre-packed little-endian words (see _bits.pack_bits)."""
+        """Build from packed words (see _bits.pack_bits), padding clear."""
         words = np.ascontiguousarray(words, dtype=_U64)
-        if len(words) != (length + 63) // 64:
+        if length < 0 or len(words) != (length + 63) // 64:
             raise ValueError("word count does not match length")
+        if length % 64 and int(words[-1]) >> (length % 64):
+            raise ValueError("bitvector has a padding bit set past its length")
         ones = int(popcount_words(words).sum())
         buf = np.zeros(section_words(length, ones), _U64)
         buf[WORDS_AT:WORDS_AT + len(words)] = words

@@ -21,21 +21,22 @@ out.
 
 The index is a set of flat numpy tables, read by the queries item by
 item through memoryviews: per node its word offsets, length and
-children, per tree its root and first entry, per code-table entry its
-code and length, and a dense table from (block << alphabet_bits) +
-symbol to the symbol's 1-based entry number inside its block, 0 where
-the block lacks the symbol. Each table is held in the narrowest integer
-type that the bounds loading already knows allow (_bits.table): the
-buffer's length for word offsets, block_len for node lengths and entry
-numbers, the node count and alphabet for children and roots, the
-deepest code for codes and their lengths. The dense table then takes
-one byte per (block, symbol) where the blocks or the alphabet hold
-fewer than 256 symbols, an eighth of a forest's u64 rank rows. Loading derives every table and
-checks the sections against each other: headers, block symbol counts
-against n and block_len, canonical code tables forming complete prefix
-codes, node counts, offsets and bitvector sections inside the buffer,
-and each node's length against its parent's zero or one count, or for a
-root its block's symbol count, with every leaf holding a symbol.
+children, per tree its root, and a dense table from
+(block << alphabet_bits) + symbol to the symbol's code in that block
+behind a 1 marker bit, (1 << length) | code, 0 where the block lacks it;
+rank and select read one item of it for the whole code. Each table is
+held in the narrowest integer type that the bounds loading already knows
+allow (_bits.table): the buffer's length for word offsets, block_len for
+node lengths, the node count and alphabet for children and roots, the
+deepest code for the dense table. That table then takes one byte per
+(block, symbol) where every code is at most 7 bits and two up to 15
+bits, an eighth or a quarter of a forest's u64 rank rows. Loading
+derives every table and checks the sections against each other: headers,
+block symbol counts against n and block_len, canonical code tables
+forming complete prefix codes, node counts, offsets and bitvector
+sections inside the buffer, and each node's length against its parent's
+zero or one count, or for a root its block's symbol count, with every
+leaf holding a symbol.
 
 Positions are 1-based throughout, matching the bitvectors underneath.
 Public queries take any integer type and convert it with operator.index,
@@ -90,7 +91,8 @@ def _shape(ek, el, ncodes):
     prefix order, are that depth's leaves followed by its internal
     nodes, so a tree's shape follows from its leaf count per depth, and
     the internal nodes at depth d hold the prefixes 2^d - inner .. 2^d - 1.
-    Nodes are numbered in BFS order, tree after tree.
+    Nodes are numbered in BFS order, tree after tree. A code and a marker
+    bit must fit a u64 word; a 64-bit code takes about F(66) symbols.
 
     Returns the entries' u64 code values, the internal node count
     per (tree, depth), the index of each (tree, depth)'s first node, the
@@ -99,8 +101,10 @@ def _shape(ek, el, ncodes):
     """
     m = len(ncodes)
     estart = np.cumsum(ncodes) - ncodes
-    if ((el == 0) != (ncodes[ek] == 1)).any() or ((el < 0) | (el > 64)).any():
+    if ((el == 0) != (ncodes[ek] == 1)).any() or (el < 0).any():
         raise ValueError("code lengths do not form a prefix code")
+    if (el > 63).any():
+        raise ValueError("a 64-bit code leaves no room for its marker bit")
     codes = canonical_codes(el, estart[ek])
 
     depth = int(el.max()) + 1 if el.size else 1
@@ -134,8 +138,8 @@ class _Trees(WordBuffer):
     """Flat index over the tree sections of one u64 word buffer."""
 
     __slots__ = ("_n", "_block_len", "_alphabet_bits", "_hist", "_tree_end",
-                 "_data_words", "_root", "_entry", "_estart", "_code", "_clen",
-                 "_nw", "_nd", "_nlen", "_left", "_right")
+                 "_data_words", "_root", "_code", "_nw", "_nd", "_nlen",
+                 "_left", "_right")
 
     def _index(self, buf: np.ndarray, tree_at: np.ndarray, alphabet_bits: int,
                min_end: int = 0) -> None:
@@ -201,15 +205,14 @@ class _Trees(WordBuffer):
         root = first[:, 0].copy()
         root[lone] = -es[estart[lone]] - 1
         root[ncodes == 0] = -1
-        # (block << alphabet_bits) + symbol -> the symbol's 1-based entry
-        # number in its block, 0 where the block lacks it.
-        per_block = min(sigma, self._block_len)
-        entry = np.zeros(m << alphabet_bits, narrowest(per_block))
-        entry[(ek << alphabet_bits) + es] = np.arange(1, len(es) + 1) - estart[ek]
+        # (block << alphabet_bits) + symbol -> the symbol's code in its
+        # block behind a 1 marker bit, 0 where the block lacks it.
+        code = np.zeros(m << alphabet_bits, narrowest((2 << deepest) - 1))
+        code[(ek << alphabet_bits) + es] = codes | 1 << el.astype(_U64)
         # Canonical tables, as built and as canonical_codes assumes:
         # (length, symbol) strictly increasing, no symbol in two entries.
         if ((np.diff((ek * 65 + el) * sigma + es) <= 0).any()
-                or np.count_nonzero(entry) != len(es)):
+                or np.count_nonzero(code) != len(es)):
             raise ValueError("code table not canonical")
         nw, nd = bitvec.section_offsets(starts, lengths)
 
@@ -221,10 +224,7 @@ class _Trees(WordBuffer):
         self._tree_end = tree_end
         self._data_words = int(sizes.sum())
         self._root = table(root, nodes, -sigma)
-        self._entry = table(entry, per_block)
-        self._estart = table(estart, len(es))
-        self._code = table(codes, (1 << deepest) - 1)
-        self._clen = table(el, deepest)
+        self._code = memoryview(code)
         self._nw = table(nw, len(buf))
         self._nd = table(nd, len(buf))
         self._nlen = table(lengths, self._block_len)
@@ -235,9 +235,8 @@ class _Trees(WordBuffer):
         """Bytes of the query tables that loading derives and keeps
         beside the serialized words."""
         return sum(t.nbytes for t in (
-            self._hist, self._tree_end, self._root, self._entry,
-            self._estart, self._code, self._clen, self._nw, self._nd,
-            self._nlen, self._left, self._right))
+            self._hist, self._tree_end, self._root, self._code, self._nw,
+            self._nd, self._nlen, self._left, self._right))
 
     # -- queries: block k = (i - 1) // block_len, then inside its tree --
 
@@ -301,14 +300,12 @@ class _Trees(WordBuffer):
         return -node - 1
 
     def _rank_in(self, mv, k: int, c: int, i: int) -> int:
-        e = self._entry[(k << self._alphabet_bits) + c]
-        if not e:
+        code = self._code[(k << self._alphabet_bits) + c]
+        if not code:
             return 0
-        e += self._estart[k] - 1
         nw, nd = self._nw, self._nd
-        code = self._code[e]
         node = self._root[k]
-        for shift in range(self._clen[e] - 1, -1, -1):
+        for shift in range(code.bit_length() - 2, -1, -1):
             ones = bitvec.rank1(mv, nw[node], nd[node], i)
             if (code >> shift) & 1:
                 i, node = ones, self._right[node]
@@ -318,11 +315,10 @@ class _Trees(WordBuffer):
 
     def _select_in(self, mv, k: int, c: int, j: int) -> int:
         """j-th occurrence of c in tree k; the caller checks 1 <= j <= count."""
-        e = self._estart[k] + self._entry[(k << self._alphabet_bits) + c] - 1
-        code = self._code[e]
+        code = self._code[(k << self._alphabet_bits) + c]
         path = []
         node = self._root[k]
-        for shift in range(self._clen[e] - 1, -1, -1):
+        for shift in range(code.bit_length() - 2, -1, -1):
             bit = (code >> shift) & 1
             path.append((node, bit))
             node = self._right[node] if bit else self._left[node]
@@ -357,17 +353,14 @@ def _chunks(n: int, block_len: int, sigma: int):
     either whole blocks k0..k1-1 or a piece of the one block k0, with
     (k1 - k0) * sigma bounded by _CHUNK as well. Blocks of _OWN_CHUNK
     symbols or more never share a chunk."""
-    if block_len >= _OWN_CHUNK:
-        for k in range(-(-n // block_len)):
-            end = min((k + 1) * block_len, n)
-            for lo in range(k * block_len, end, _CHUNK):
-                yield lo, min(lo + _CHUNK, end), k, k + 1
-        return
-    step = max(1, min(_CHUNK // block_len, _CHUNK // sigma))
     m = -(-n // block_len)
+    step = (1 if block_len >= _OWN_CHUNK
+            else max(1, min(_CHUNK // block_len, _CHUNK // sigma)))
     for k0 in range(0, m, step):
         k1 = min(k0 + step, m)
-        yield k0 * block_len, min(k1 * block_len, n), k0, k1
+        end = min(k1 * block_len, n)
+        for lo in range(k0 * block_len, end, _CHUNK):
+            yield lo, min(lo + _CHUNK, end), k0, k1
 
 
 def _chunk_keys(symbols, lo, hi, k0, k1, block_len, sigma):
@@ -416,9 +409,8 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
     and each tree section's word offset (a multiple of 8). This fills
     in the tree sections and returns the buffer.
 
-    Raises ValueError if a block's Huffman code is 64 bits deep, which
-    takes a block of about F(66) ~ 2.7e13 symbols: a position's routing
-    word would have no room for the marker after its code.
+    Raises ValueError (in _shape) if a block's Huffman code is 64 bits
+    deep: a position's routing word would have no marker bit left.
     """
     n = int(symbols.size)
     sigma = 1 << alphabet_bits
@@ -440,8 +432,6 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
     codes = np.empty_like(codes_c)
     codes[order] = codes_c
     depth = inner.shape[1] - 1
-    if depth >= 64:
-        raise ValueError("a 64-bit code leaves no room for its routing marker")
     nlen, nones = _node_sizes(ef[order], nd, left, right, depth)
 
     # Section layout, in words from each tree section's start: header,

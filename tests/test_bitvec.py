@@ -257,6 +257,24 @@ def test_load_rejects_a_wrong_sample_count():
             BitVector.from_bytes(bytes(blob))
 
 
+def test_load_rejects_a_set_padding_bit():
+    # 100 bits: bits 101..128 of the second word are padding.
+    bv = BitVector.from_bits([0, 1] * 50)
+    blob = bytearray(bv.to_bytes())
+    blob[8 * (2 + 1) + 5] |= 1  # bit 105
+    with pytest.raises(ValueError, match="padding"):
+        BitVector.from_bytes(bytes(blob))
+    # A full last word has no padding.
+    assert BitVector.from_bits([1] * 128).num_ones == 128
+
+
+@pytest.mark.parametrize("words, length", [([1, 2**64 - 1], 70),
+                                           ([2**64 - 1], 10)])
+def test_from_words_rejects_set_padding_bits(words, length):
+    with pytest.raises(ValueError, match="padding"):
+        BitVector.from_words(np.array(words, np.uint64), length)
+
+
 def test_select_in_word_matches_a_bit_scan():
     rng = np.random.default_rng(41)
     words = [(1 << 64) - 1, 1, 1 << 63]

@@ -417,3 +417,57 @@ def test_load_rejects_a_leaf_that_holds_no_symbols():
     bad[words:words + 16] = bytes(16)
     with pytest.raises(ValueError):
         WaveletTree.from_bytes(bytes(bad))
+
+
+def test_load_rejects_a_set_padding_bit_in_a_node():
+    # The root holds 100 bits; bit 105 is padding in its last word.
+    wt = WaveletTree.build(np.array([0, 1] * 50), 1)
+    bad = bytearray(wt.to_bytes())
+    bad[wt.node_offset(0) + 8 * (2 + 1) + 5] |= 1
+    with pytest.raises(ValueError, match="padding"):
+        WaveletTree.from_bytes(bytes(bad))
+
+
+def test_shape_rejects_codes_over_63_bits():
+    # Lengths 1, 2, ..., 64, 64: a complete prefix code 64 bits deep,
+    # whose deepest codes leave no room for a marker bit in a u64.
+    for depth in (63, 64):
+        el = np.minimum(np.arange(depth + 1) + 1, depth)
+        args = np.zeros(depth + 1, np.int64), el, np.array([depth + 1])
+        if depth == 63:
+            assert wtree._shape(*args)[1].shape == (1, 64)
+        else:
+            with pytest.raises(ValueError, match="64-bit code"):
+                wtree._shape(*args)
+
+
+@pytest.mark.parametrize("depth, width", [(7, 1), (8, 2), (15, 2), (16, 4)])
+def test_code_table_width_follows_the_deepest_code(depth, width):
+    # One (block, symbol) item holds a code behind its marker bit.
+    text = fibonacci_text(depth, np.random.default_rng(depth))
+    wt = WaveletTree.build(text, 5)
+    assert wt._code.itemsize == width
+    assert wt._code.nbytes == 32 * width
+
+
+@pytest.mark.parametrize("chunk, own", [(64, 16), (48, 5), (8, 8)])
+def test_chunks_cover_the_text_in_bounded_pieces(monkeypatch, chunk, own):
+    monkeypatch.setattr(wtree, "_CHUNK", chunk)
+    monkeypatch.setattr(wtree, "_OWN_CHUNK", own)
+    for n in (0, 1, 7, 63, 64, 65, 200, 333):
+        for block_len in (1, 3, 4, 5, 16, 17, 64, 100, 400):
+            for sigma in (2, 4, 16, 256):
+                chunks = list(wtree._chunks(n, block_len, sigma))
+                # Every position once, in order.
+                assert [x for lo, hi, _, _ in chunks
+                        for x in range(lo, hi)] == list(range(n))
+                seen = {}
+                for lo, hi, k0, k1 in chunks:
+                    assert lo < hi <= lo + chunk
+                    assert (k0, k1) == (lo // block_len,
+                                        (hi - 1) // block_len + 1)
+                    assert k1 - k0 == 1 or (k1 - k0) * sigma <= chunk
+                    for k in range(k0, k1):
+                        seen[k] = seen.get(k, 0) + 1
+                # Only a block of own or more symbols is split.
+                assert all(block_len >= own for c in seen.values() if c > 1)
