@@ -67,9 +67,11 @@ VERSION = 1
 #      ordered by (length, symbol))
 #      node count u64
 #      node byte offsets, u64 each, relative to the section start
-#      node bitvector sections in BFS order, zero-padded so each
-#      section's packed-words array starts on a 64-byte boundary
-#      (a rank's superblock scan then never splits a cache line)
+#      node bitvector sections in preorder (a node, its left subtree,
+#      then its right subtree), zero-padded so each section's
+#      packed-words array starts on a 64-byte boundary (a rank's
+#      superblock scan then never splits a cache line); the offsets
+#      above are in BFS node order, and locate every section
 # In words: a node section starts at this word offset mod 8.
 _NODE_ALIGN = -bitvec.WORDS_AT % 8
 
@@ -91,8 +93,9 @@ def _shape(ek, el, ncodes):
     prefix order, are that depth's leaves followed by its internal
     nodes, so a tree's shape follows from its leaf count per depth, and
     the internal nodes at depth d hold the prefixes 2^d - inner .. 2^d - 1.
-    Nodes are numbered in BFS order, tree after tree. A code and a marker
-    bit must fit a u64 word; a 64-bit code takes about F(66) symbols.
+    Nodes are numbered in BFS order, tree after tree; their sections
+    are placed in preorder (_node_layout). A code and a marker bit must
+    fit a u64 word; a 64-bit code takes about F(66) symbols.
 
     Returns the entries' u64 code values, the internal node count
     per (tree, depth), the index of each (tree, depth)'s first node, the
@@ -145,8 +148,8 @@ class _Trees(WordBuffer):
                min_end: int = 0) -> None:
         """Derive the query tables from the tree sections at word offsets
         tree_at of buf, one per block of the _n symbols in blocks of
-        _block_len, and keep buf up to the last section's end (at least
-        min_end words). Built and loaded structures both come here."""
+        _block_len, and keep buf up to the furthest section's end (at
+        least min_end words). Built and loaded structures both come here."""
         sigma = 1 << alphabet_bits
         m = len(tree_at)
         ncodes = read_words(buf, tree_at + 2)
@@ -176,10 +179,12 @@ class _Trees(WordBuffer):
         starts = tree_at[nk] + read_words(buf, ranges(count_at + 1, nnodes),
                                           8 * len(buf)) // 8
         lengths, ones, sizes = bitvec.read_sections(buf, starts)
+        # A tree ends at the furthest end of its offset table and node
+        # sections, wherever the offsets put them; nodes group by tree.
         tree_end = count_at + 1
         has = nnodes > 0
-        last = first[has, 0] + nnodes[has] - 1
-        tree_end[has] = (starts + sizes)[last]
+        tree_end[has] = np.maximum(tree_end[has], np.maximum.reduceat(
+            starts + sizes, first[has, 0]))
 
         # A root holds its whole block (word 1 of its tree section), a
         # child its parent's zeros (left) or ones (right), and a leaf at
@@ -386,18 +391,35 @@ def _block_histograms(symbols, chunks, block_len, m, sigma):
     return counts
 
 
-def _node_sizes(freq, nd, left, right, depth):
-    """Length and set bits of every node's bitvector, bottom-up from the
-    entries' counts freq (in the order _shape's leaves refer to)."""
-    nlen = np.zeros(len(nd), np.int64)
-    nones = np.zeros(len(nd), np.int64)
-    for d in range(depth - 1, -1, -1):
+def _node_layout(freq, nd, left, right, depth):
+    """Length, set bits and section words of every node's bitvector, from
+    the entries' counts freq (in the order _shape's leaves refer to), and
+    each section's word offset from its root's. Sections go in preorder
+    at 8-word strides, so a descent's lower levels read neighbouring
+    sections: a left child starts where its parent's section ends, a
+    right child after its left sibling's subtree."""
+    # Slots 0..n-1 are the nodes, slot n + e the leaf of entry e: a
+    # leaf holds freq[e] symbols, no set bits of its own and no sections.
+    n = len(nd)
+    levels = []
+    for d in range(depth):
         at = np.flatnonzero(nd == d)
-        side = [np.where(c < 0, freq[np.where(c < 0, -c - 1, 0)],
-                         nlen[np.maximum(c, 0)]) for c in (left[at], right[at])]
-        nones[at] = side[1]
-        nlen[at] = side[0] + side[1]
-    return nlen, nones
+        levels.append((at, *(np.where(c < 0, n - 1 - c, c)
+                             for c in (left[at], right[at]))))
+    nlen = np.concatenate([np.zeros(n, np.int64), freq])
+    nones = np.zeros(n, np.int64)
+    sizes = np.zeros(n, np.int64)
+    subtree = np.zeros(len(nlen), np.int64)  # strides summed over it
+    for at, lo, hi in reversed(levels):
+        ones = nones[at] = nlen[hi]
+        length = nlen[at] = nlen[lo] + ones
+        words = sizes[at] = bitvec.section_words(length, ones)
+        subtree[at] = _ceil8(words) + subtree[lo] + subtree[hi]
+    rel = np.zeros(len(nlen), np.int64)
+    for at, lo, hi in levels:
+        rel[lo] = rel[at] + _ceil8(sizes[at])
+        rel[hi] = rel[lo] + subtree[lo]
+    return nlen[:n], nones, sizes, rel[:n]
 
 
 def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
@@ -432,18 +454,18 @@ def build_trees(symbols, block_len: int, m: int, alphabet_bits: int, place):
     codes = np.empty_like(codes_c)
     codes[order] = codes_c
     depth = inner.shape[1] - 1
-    nlen, nones = _node_sizes(ef[order], nd, left, right, depth)
+    nlen, nones, sizes, rel = _node_layout(ef[order], nd, left, right,
+                                           depth)
 
     # Section layout, in words from each tree section's start: header,
-    # code table, node offsets, then node sections packed at 8-word
+    # code table, node offsets, then node sections in preorder at 8-word
     # strides so each one's packed words start on a cache line.
     nnodes = np.maximum(ncodes - 1, 0)
     nk = np.repeat(np.arange(m), nnodes)
     head = 4 + 2 * ncodes + nnodes
-    sizes = bitvec.section_words(nlen, nones)
-    stride = np.cumsum(_ceil8(sizes)) - _ceil8(sizes)
-    rel = ((head + (_NODE_ALIGN - head) % 8)[nk] + stride
-           - stride[first[nk, 0]])
+    rel += (head + (_NODE_ALIGN - head) % 8)[nk]
+    # In a canonical shape the last node in BFS order, the all-ones one
+    # above the deepest leaves, is also the last in preorder.
     tree_words = head.copy()
     has = nnodes > 0
     last = first[has, 0] + nnodes[has] - 1
@@ -584,7 +606,8 @@ class WaveletTree(_Trees):
         return len(self._nw)
 
     def node_offset(self, idx: int) -> int:
-        """Byte offset of node idx's bitvector section (BFS numbering)."""
+        """Byte offset of node idx's bitvector section: nodes are
+        numbered in BFS order, their sections placed in preorder."""
         return 8 * (self._nw[idx] - bitvec.WORDS_AT)
 
     def node(self, idx: int) -> bitvec.BitVector:

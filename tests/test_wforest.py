@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import struct
 
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waveletforest import bitvec, fmindex
+from waveletforest.bench import aggregate_locality, profile
 from waveletforest.fmindex import FmIndex
+from waveletforest.textgen import gen_query_positions
 from waveletforest.wforest import WaveletForest
 from waveletforest.wtree import WaveletTree
 
@@ -270,7 +274,9 @@ def test_property_forest_equals_tree(text, block_len):
 
 # sha256 of to_bytes() for a tree and forests at block_len 1, 3, 64 and n,
 # pinned from the v1 layout that the round-trip, layout and oracle tests
-# confirm; any change to how structures are built must keep these bytes.
+# confirm, with node sections placed in BFS order. Placed in preorder,
+# the bytes change only where PREORDER_DIGESTS says; moved back to their
+# BFS places (_bfs_placed), they must still give these digests.
 GOLDEN_DIGESTS = {
     1: {"tree": "61fd0b4278e9d7f52f59b9a6de4fc7527613aa0aed6967cd777518ef03785b8f",
         1: "f5d21ce3ab6329613eb583cfbee7b1d1cbfeb941b4ae922f286a8680683622e0",
@@ -298,16 +304,90 @@ def golden_text(bits):
     return rng.integers(0, 1 << bits, n).astype(np.uint8)
 
 
+# The GOLDEN_DIGESTS values that placing node sections in preorder
+# changes. The others hold for both placements: their trees have at most
+# one node below the root, or a caterpillar shape, where BFS order is
+# preorder.
+PREORDER_DIGESTS = {
+    4: {64: "1334e471e28fd58c856852f922472b449bdff5b2490b497a2000f915659e99c2"},
+    8: {"tree": "308a2725573d4eda138f033de00875d64054a1f8e92e1707ebf4d5b2a92e0ddc",
+        64: "250048c47a40f9096b095f29ed15c7ba38cb753bd7cba3ce37345cdc9fe2e38d",
+        "n": "574da2032b78e798e84d5226a8c4794441817e8e95ebbdddef5e573803c1c8da"},
+}
+
+
+def _node_sections(structure):
+    """The index whose tables number structure's nodes (an FM-index's
+    backend), and for each tree with nodes: the byte offsets of its
+    section and of its node offset table, and (node, start, size in
+    bytes) of each node section in node order, which is BFS order."""
+    base = 0
+    if isinstance(structure, FmIndex):
+        base = 8 * fmindex._backend_at(structure.alphabet_bits)
+        structure = structure.backend
+    words = np.frombuffer(structure.to_bytes(), np.uint64)
+    starts = np.asarray(structure._nw, np.int64) - bitvec.WORDS_AT
+    sizes = bitvec.read_sections(words, starts)[2]
+    tree_at = [0]
+    if isinstance(structure, WaveletForest):
+        sigma = 1 << structure.alphabet_bits
+        tree_at = [row + sigma for row in structure._row_at]
+    trees = []
+    for k, at in enumerate(tree_at):
+        root, ncodes = structure._root[k], int(words[at + 2])
+        if root >= 0:
+            nodes = [(i, base + 8 * int(starts[i]), 8 * int(sizes[i]))
+                     for i in range(root, root + ncodes - 1)]
+            trees.append((base + 8 * at, base + 8 * (at + 4 + 2 * ncodes),
+                          nodes))
+    return structure, trees
+
+
+def _bfs_placed(structure):
+    """structure's bytes with every node section moved back to its BFS
+    place, packed at 64-byte strides from the root, and the node offset
+    words rewritten to match; and a function mapping the byte offset of
+    a word that structure's queries read to that word's offset there."""
+    blob = structure.to_bytes()
+    out = bytearray(blob)
+    moves = []  # (preorder start, BFS start, size), in bytes
+    for tree_at, table_at, nodes in _node_sections(structure)[1]:
+        at = nodes[0][1]  # the root comes first in both orders
+        for idx, (_, start, size) in enumerate(nodes):
+            moves.append((start, at, size))
+            struct.pack_into("<Q", out, table_at + 8 * idx, at - tree_at)
+            at += -(-size // 64) * 64
+    for pre, _, size in moves:
+        out[pre:pre + size] = bytes(size)
+    for pre, bfs, size in moves:
+        out[bfs:bfs + size] = blob[pre:pre + size]
+    moves.sort()
+    starts = [pre for pre, _, _ in moves]
+
+    def where(offset):
+        i = bisect.bisect_right(starts, offset) - 1
+        if i >= 0 and offset < starts[i] + moves[i][2]:
+            return offset - starts[i] + moves[i][1]
+        return offset
+    return bytes(out), where
+
+
+def _sha256(blob):
+    return hashlib.sha256(blob).hexdigest()
+
+
 @pytest.mark.parametrize("bits", sorted(GOLDEN_DIGESTS))
 def test_serialized_bytes_match_golden_digests(bits):
     text = golden_text(bits)
-    want = GOLDEN_DIGESTS[bits]
-    got = {"tree": WaveletTree.build(text, bits).to_bytes()}
+    want = {**GOLDEN_DIGESTS[bits], **PREORDER_DIGESTS.get(bits, {})}
+    got = {"tree": WaveletTree.build(text, bits)}
     for bl in (1, 3, 64, "n"):
         got[bl] = WaveletForest.build(text, len(text) if bl == "n" else bl,
-                                      bits).to_bytes()
-    for key, blob in got.items():
-        assert hashlib.sha256(blob).hexdigest() == want[key], key
+                                      bits)
+    for key, structure in got.items():
+        assert _sha256(structure.to_bytes()) == want[key], key
+        bfs_blob = _bfs_placed(structure)[0]
+        assert _sha256(bfs_blob) == GOLDEN_DIGESTS[bits][key], key
 
 
 def _count_words(tree, base):
@@ -392,22 +472,29 @@ def _golden_queries(text, bits, seed):
     return queries
 
 
-def _trace_digest(structure, queries):
+def _trace_digests(structure, queries):
     """sha256 over every query's name, arguments, answer and trace (the
-    byte offset of each word read, in order), query after query."""
-    h = hashlib.sha256()
+    byte offset of each word read, in order), query after query: of the
+    traces as read, and of the traces mapped to the BFS placement."""
+    where = _bfs_placed(structure)[1]
+    h, bfs = hashlib.sha256(), hashlib.sha256()
     for name, *args in queries:
         trace = []
         answer = getattr(structure, name)(*args, trace=trace)
         h.update(repr((name, args, int(answer), trace)).encode())
-    return h.hexdigest()
+        trace = [where(offset) for offset in trace]
+        bfs.update(repr((name, args, int(answer), trace)).encode())
+    return h.hexdigest(), bfs.hexdigest()
 
 
 # sha256 of the traces of _golden_queries on golden_text(bits), for a tree
 # and forests at block_len 1, 3, 64 and n, and at 4 bits of FM count and
 # bwt_symbol traces on a tree and a forest (block_len 64) backend. Pinned
-# from the scalar query path: any change to it must read the same words
-# in the same order and give the same answers.
+# from the scalar query path with node sections in BFS order: any change
+# to it must read the same words in the same order and give the same
+# answers. With sections in preorder, the traces change only where
+# PREORDER_TRACE_DIGESTS says, and mapped to BFS places they still give
+# these digests.
 GOLDEN_TRACE_DIGESTS = {
     1: {"tree": "aad7bc086bb19883f13c65f9755e81509a30308568df34820c43eda02b09541d",
         1: "bc0451d09ad1a97892208b8aa853c9a207c1f6819e4ad78fd3861657f6bf32ca",
@@ -429,15 +516,26 @@ GOLDEN_TRACE_DIGESTS = {
 }
 
 
+# The GOLDEN_TRACE_DIGESTS values that placing node sections in preorder
+# changes.
+PREORDER_TRACE_DIGESTS = {
+    4: {64: "f2d6167d2759304c7a9d0624c3db86603420111602dc1888edef95fcd69e7b5c",
+        "fm-forest": "fd689fe51498f11a7937bdf28315579b41e33f305f6154dd93b365ff7c744ef9"},
+    8: {"tree": "f7534a8aac7654ec91ac4ab81a52df8fa7c68c2cb6da8945265019f4606c68e6",
+        64: "8649c141114688328bcb6096a831fdc6daf1d27c1ddbbcdeb5b7142741669ce5",
+        "n": "ea255d41a3e1434f4498605cd8abfa967448c00a3a840a4cd47ed8cb25af5304"},
+}
+
+
 @pytest.mark.parametrize("bits", sorted(GOLDEN_TRACE_DIGESTS))
 def test_traces_match_golden_digests(bits):
     text = golden_text(bits)
     n = len(text)
     queries = _golden_queries(text, bits, 7000 + bits)
-    got = {"tree": _trace_digest(WaveletTree.build(text, bits), queries)}
+    digests = {"tree": _trace_digests(WaveletTree.build(text, bits), queries)}
     for bl in (1, 3, 64, "n"):
         wf = WaveletForest.build(text, n if bl == "n" else bl, bits)
-        got[bl] = _trace_digest(wf, queries)
+        digests[bl] = _trace_digests(wf, queries)
     if bits == 4:
         rng = np.random.default_rng(7100)
         fm_queries = [("bwt_symbol", r)
@@ -447,8 +545,10 @@ def test_traces_match_golden_digests(bits):
         fm_queries.append(("count", [15, 15, 15, 15, 15]))
         for backend in ("tree", "forest"):
             fm = FmIndex.build(text, bits, backend=backend, block_len=64)
-            got["fm-" + backend] = _trace_digest(fm, fm_queries)
-    assert got == GOLDEN_TRACE_DIGESTS[bits]
+            digests["fm-" + backend] = _trace_digests(fm, fm_queries)
+    assert {key: d[0] for key, d in digests.items()} == {
+        **GOLDEN_TRACE_DIGESTS[bits], **PREORDER_TRACE_DIGESTS.get(bits, {})}
+    assert {key: d[1] for key, d in digests.items()} == GOLDEN_TRACE_DIGESTS[bits]
 
 
 @pytest.mark.parametrize("word, value", [(2, 50), (1, 1050), (3, 9), (1, 999)])
@@ -517,3 +617,57 @@ def test_small_block_query_tables_take_at_most_a_quarter_of_the_structure():
     assert built.index_bytes() <= 0.25 * built.size_bytes()
     fm = FmIndex.build(text[:4096], 8, "forest", 32)
     assert fm.index_bytes() == fm.backend.index_bytes() > 0
+
+
+def test_node_sections_are_placed_in_preorder():
+    # Each tree's root follows its offset table at the first 64-byte
+    # aligned packed-words array; every other internal node follows
+    # its parent's section (a left child) or its left sibling's subtree
+    # (a right child), at 64-byte strides.
+    after_subtree = 0  # right children placed after a left sibling node
+    for bits in (1, 4, 8, 12):
+        rng = np.random.default_rng(900 + bits)
+        weights = rng.random(1 << bits) ** 3
+        text = rng.choice(1 << bits, 3000, p=weights / weights.sum())
+        structures = [WaveletTree.build(text, bits),
+                      WaveletForest.build(text, 400, bits)]
+        structures += [FmIndex.build(text, bits, backend=b, block_len=400)
+                       for b in ("tree", "forest")]
+        for structure in structures:
+            index, trees = _node_sections(structure)
+            for _, table_at, nodes in trees:
+                head = table_at + 8 * len(nodes)
+                assert nodes[0][1] == head + (-16 - head) % 64
+                section = {node: (start, size) for node, start, size in nodes}
+
+                def place(node, at):
+                    nonlocal after_subtree
+                    start, size = section[node]
+                    assert start == at, (bits, node)
+                    at += -(-size // 64) * 64
+                    left, right = index._left[node], index._right[node]
+                    if left >= 0:
+                        at = place(left, at)
+                    if right >= 0:
+                        after_subtree += left >= 0
+                        at = place(right, at)
+                    return at
+                place(nodes[0][0], nodes[0][1])
+    assert after_subtree > 1000
+
+
+def test_forest_access_reads_few_pages():
+    # A 50 000-symbol block's tree spans about 20 pages of 4 KiB. Its
+    # nodes below depth 3 hold a few KiB each, so with preorder
+    # placement a descent's lower levels share pages.
+    n = 1 << 20
+    text = np.random.default_rng(17).integers(0, 256, n).astype(np.uint8)
+    positions = gen_query_positions(17, 500, n)
+    pages = {}
+    for name, structure in (("tree", WaveletTree.build(text, 8)),
+                            ("forest", WaveletForest.build(text, 50_000, 8))):
+        traces = [profile(structure.access, p)[1] for p in positions]
+        pages[name] = aggregate_locality(structure, traces,
+                                         4096).mean_distinct_regions
+    assert pages["forest"] <= 6.0, pages
+    assert pages["forest"] < pages["tree"], pages

@@ -419,6 +419,29 @@ def test_load_rejects_a_leaf_that_holds_no_symbols():
         WaveletTree.from_bytes(bytes(bad))
 
 
+def test_a_tree_keeps_a_node_section_placed_past_the_others():
+    # The offset table locates every node section: move a copy of the
+    # root's past the tree's last section, at the same alignment, and
+    # point the root's offset word at it. The tree must keep the copy
+    # and answer every query as before.
+    text = np.random.default_rng(31).integers(0, 16, 3000).astype(np.uint8)
+    wt = WaveletTree.build(text, 4)
+    blob = wt.to_bytes()
+    root, size = wt.node_offset(0), wt.node(0).size_bytes()
+    moved = len(blob) + (root - len(blob)) % 64
+    bad = bytearray(blob.ljust(moved, b"\0") + blob[root:root + size])
+    offsets_at = 8 * (4 + 2 * wt.code_table.sigma_effective)
+    struct.pack_into("<Q", bad, offsets_at, moved)
+    copy = WaveletTree.from_bytes(bytes(bad))
+    assert copy.node_offset(0) == moved
+    assert [copy.access(i) for i in range(1, 3001)] == text.tolist()
+    assert copy.size_bytes() == len(bad)
+    for c in range(16):
+        at = (np.flatnonzero(text == c) + 1).tolist()
+        assert [copy.rank(c, i) for i in at] == list(range(1, len(at) + 1))
+        assert [copy.select(c, j) for j in range(1, len(at) + 1)] == at
+
+
 def test_load_rejects_a_set_padding_bit_in_a_node():
     # The root holds 100 bits; bit 105 is padding in its last word.
     wt = WaveletTree.build(np.array([0, 1] * 50), 1)
