@@ -53,20 +53,29 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).astype(np.int64)
 
 
+# Per byte value b: its popcount, and at 8 * b + (j - 1) the offset of
+# its j-th set bit (0 past its popcount).
+_BYTE_POP = bytes(b.bit_count() for b in range(256))
+_BYTE_SELECT = bytes(([i for i in range(8) if b >> i & 1] + [0] * 8)[j]
+                     for b in range(256) for j in range(8))
+
+
 def select_in_word(word: int, j: int) -> int:
-    """0-based offset of the j-th (1-based) set bit of a 64-bit word, by
-    halving: skip the window's low half while it holds fewer than j set
-    bits. Raises ValueError when the word holds fewer than j."""
+    """0-based offset of the j-th (1-based) set bit of a 64-bit word, a
+    byte at a time: skip whole bytes while they hold fewer than j set
+    bits, then look the offset up. Raises ValueError when the word holds
+    fewer than j."""
     if not 1 <= j <= word.bit_count():
         raise ValueError("word holds fewer than j set bits")
     pos = 0
-    for width in (32, 16, 8, 4, 2, 1):
-        c = (word & ((1 << width) - 1)).bit_count()
-        if c < j:
-            j -= c
-            word >>= width
-            pos += width
-    return pos
+    while True:
+        b = word & 255
+        c = _BYTE_POP[b]
+        if c >= j:
+            return pos + _BYTE_SELECT[8 * b + j - 1]
+        j -= c
+        word >>= 8
+        pos += 8
 
 
 def select_in_words(words: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ without one it reads the bare memoryview.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 
 import numpy as np
 
@@ -69,9 +70,10 @@ def section_words(length, ones):
 
 def read_sections(buf, starts):
     """Length, set-bit count and size in words of the bitvector sections
-    at word offsets starts of buf, each checked to lie inside buf and to
-    have clear padding bits. The set bits are the last rank directory
-    entry plus the popcount of the words after it."""
+    at word offsets starts of buf, each checked to lie inside buf, to
+    share no word with another and to have clear padding bits. The set
+    bits are the last rank directory entry plus the popcount of the
+    words after it."""
     starts = np.asarray(starts, np.int64)
     if (buf[inside(buf, starts)] != MAGIC_WORD).any():
         raise ValueError("bad bitvector magic")
@@ -95,6 +97,11 @@ def read_sections(buf, starts):
     sizes = section_words(lengths, ones)
     if (starts + sizes > len(buf)).any():
         raise truncated()
+    # In order of start, each section starts where the one before ends
+    # or later.
+    at = np.argsort(starts, kind="stable")
+    if (starts[at[1:]] < (starts + sizes)[at[:-1]]).any():
+        raise ValueError("bitvector sections overlap")
     # Select reads its sample counts; they must be the ones sized here.
     n1 = ones // SELECT_SAMPLE
     if ((buf[dir_end].astype(np.int64) != n1).any()
@@ -180,7 +187,15 @@ def rank1(mv, w: int, d: int, i: int) -> int:
 
 def select(mv, w: int, d: int, length: int, j: int, ones: bool) -> int:
     """Position of the j-th (1-based) set bit (ones) or clear bit of the
-    vector laid out as for rank1. The caller checks that j is in range."""
+    vector laid out as for rank1. The caller checks that j is in range.
+    A vector of one word is read as that word alone (small nodes hit it
+    most); a longer one narrows to a superblock by its select samples
+    and rank directory, then scans words."""
+    if length <= 64:
+        word = mv[w]
+        if not ones:
+            word = ~word & ((1 << length) - 1)
+        return select_in_word(word, j) + 1
     ndir = length >> 9
     count_at = d + ndir
     if not ones:
@@ -196,14 +211,18 @@ def select(mv, w: int, d: int, length: int, j: int, ones: bool) -> int:
     if q < nsamp:
         hi = min(hi, (mv[samples + q] - 1) >> 9)
 
-    # First superblock whose cumulative count reaches j.
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        c = mv[d + mid]
-        if (c if ones else SUPER_BITS * (mid + 1) - c) >= j:
-            hi = mid
-        else:
-            lo = mid + 1
+    # First superblock whose cumulative count reaches j. The set-bit
+    # counts are the directory itself, searched in C; bisect probes the
+    # same entries in the same order as the clear-bit loop does.
+    if ones:
+        lo = bisect_left(mv, j, d + lo, d + hi) - d
+    else:
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if SUPER_BITS * (mid + 1) - mv[d + mid] >= j:
+                hi = mid
+            else:
+                lo = mid + 1
 
     count = 0
     if lo:

@@ -10,9 +10,10 @@ bitmaps the way a monolithic tree's do.
 
 Queries are wtree._Trees', whose one-block case is a WaveletTree; the
 forest adds only _before, its read of R[k][c]. access resolves entirely
-inside a block; rank adds R[k][c] to the local rank; select
-binary-searches the rank table column for the right block and finishes
-locally. Loading checks the block count against ceil(n / block_len).
+inside a block; rank adds R[k][c] to the local rank; select finds its
+block with one search of the symbol's run of the loaded per-symbol
+tables (wtree), reading no rank row, and finishes locally. Loading
+checks the block count against ceil(n / block_len).
 """
 
 from __future__ import annotations

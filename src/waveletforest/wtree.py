@@ -21,22 +21,28 @@ out.
 
 The index is a set of flat numpy tables, read by the queries item by
 item through memoryviews: per node its word offsets, length and
-children, per tree its root, and a dense table from
+children, per tree its root, a dense table from
 (block << alphabet_bits) + symbol to the symbol's code in that block
-behind a 1 marker bit, (1 << length) | code, 0 where the block lacks it;
-rank and select read one item of it for the whole code. Each table is
-held in the narrowest integer type that the bounds loading already knows
-allow (_bits.table): the buffer's length for word offsets, block_len for
-node lengths, the node count and alphabet for children and roots, the
-deepest code for the dense table. That table then takes one byte per
-(block, symbol) where every code is at most 7 bits and two up to 15
-bits, an eighth or a quarter of a forest's u64 rank rows. Loading
-derives every table and checks the sections against each other: headers,
-block symbol counts against n and block_len, canonical code tables
-forming complete prefix codes, node counts, offsets and bitvector
-sections inside the buffer, and each node's length against its parent's
-zero or one count, or for a root its block's symbol count, with every
-leaf holding a symbol.
+behind a 1 marker bit, (1 << length) | code, 0 where the block lacks it,
+and per-symbol tables over the (block, symbol) entries ordered by
+(symbol, block): where each symbol's run starts, the symbol's count
+through each block that holds it, and that block's number. rank and
+select read one item of the dense table for the whole code; select
+finds its block by one bisect of its symbol's run of counts, so it reads
+no other block's words. These tables are read out of band: a query's
+trace holds only the serialized words it reads. Each table is held in
+the narrowest integer type that the bounds loading already knows allow
+(_bits.table): the buffer's length for word offsets, block_len for node
+lengths, the node count and alphabet for children and roots, the
+deepest code for the dense table, n for the counts. The dense table
+then takes one byte per (block, symbol) where every code is at most 7
+bits and two up to 15 bits, an eighth or a quarter of a forest's u64
+rank rows. Loading derives every table and checks the sections against
+each other: headers, block symbol counts against n and block_len,
+canonical code tables forming complete prefix codes, node counts,
+offsets and bitvector sections inside the buffer and sharing no word,
+and each node's length against its parent's zero or one count, or for a
+root its block's symbol count, with every leaf holding a symbol.
 
 Positions are 1-based throughout, matching the bitvectors underneath.
 Public queries take any integer type and convert it with operator.index,
@@ -46,6 +52,7 @@ so the word arithmetic runs on Python ints; a numpy int would overflow.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 
 import numpy as np
 
@@ -137,12 +144,31 @@ def _shape(ek, el, ncodes):
     return codes, inner, first, nd, children[0], children[1]
 
 
+def _select_tables(ek, es, freq, sigma: int, n: int, m: int):
+    """The symbols' histogram, and select's tables over the entries
+    (block ek, symbol es, freq symbols), which arrive in block order, one
+    per (block, symbol): taken in (symbol, block) order, where each
+    symbol's run starts, its count through each block of the run, and
+    that block. The histogram is each run's last count."""
+    order = np.argsort(es.astype(narrowest(sigma - 1)), kind="stable")
+    per = np.bincount(es, minlength=sigma)
+    start = np.zeros(sigma + 1, np.int64)
+    np.cumsum(per, out=start[1:])
+    cum = np.zeros(len(es) + 1, narrowest(n))
+    np.cumsum(freq[order], dtype=cum.dtype, out=cum[1:])
+    below = cum[start]  # below[c]: occurrences of the symbols below c
+    counts = cum[1:]
+    counts -= np.repeat(below[:-1], per)
+    return (np.diff(below).astype(np.int64), table(start, len(es)),
+            table(counts, n), table(ek[order], m))
+
+
 class _Trees(WordBuffer):
     """Flat index over the tree sections of one u64 word buffer."""
 
     __slots__ = ("_n", "_block_len", "_alphabet_bits", "_hist", "_tree_end",
                  "_data_words", "_root", "_code", "_nw", "_nd", "_nlen",
-                 "_left", "_right")
+                 "_left", "_right", "_sel_start", "_sel_cum", "_sel_block")
 
     def _index(self, buf: np.ndarray, tree_at: np.ndarray, alphabet_bits: int,
                min_end: int = 0) -> None:
@@ -198,14 +224,14 @@ class _Trees(WordBuffer):
             raise ValueError("node lengths do not match their parents' bit counts")
         if (count[~node] < 1).any():
             raise ValueError("a leaf of the code holds no symbols")
-        # Leaf counts: a leaf holds its parent's zeros or ones; a lone
-        # symbol holds its whole block.
+        # Each entry's count: a leaf holds its parent's zeros or ones; a
+        # lone symbol holds its whole block.
         lone = ncodes == 1
-        leaf_symbol = es[-child[~node] - 1]
-        hist = np.bincount(np.concatenate([leaf_symbol, es[estart[lone]]]),
-                           np.concatenate([count[~node], buf[tree_at[lone] + 1]]),
-                           minlength=sigma).astype(np.int64)
-        child[~node] = -leaf_symbol - 1  # the query tables' leaf encoding
+        leaf = -child[~node] - 1
+        freq = np.empty(len(es), narrowest(self._block_len))
+        freq[leaf] = count[~node]
+        freq[estart[lone]] = buf[tree_at[lone] + 1]
+        child[~node] = -es[leaf] - 1  # the query tables' leaf encoding
 
         root = first[:, 0].copy()
         root[lone] = -es[estart[lone]] - 1
@@ -225,7 +251,8 @@ class _Trees(WordBuffer):
         self._buf = buf[:max(int(tree_end.max(initial=0)), min_end)]
         self._mv = word_view(self._buf)
         self._alphabet_bits = alphabet_bits
-        self._hist = hist
+        self._hist, self._sel_start, self._sel_cum, self._sel_block = (
+            _select_tables(ek, es, freq, sigma, self._n, m))
         self._tree_end = tree_end
         self._data_words = int(sizes.sum())
         self._root = table(root, nodes, -sigma)
@@ -241,7 +268,8 @@ class _Trees(WordBuffer):
         beside the serialized words."""
         return sum(t.nbytes for t in (
             self._hist, self._tree_end, self._root, self._code, self._nw,
-            self._nd, self._nlen, self._left, self._right))
+            self._nd, self._nlen, self._left, self._right, self._sel_start,
+            self._sel_cum, self._sel_block))
 
     # -- queries: block k = (i - 1) // block_len, then inside its tree --
 
@@ -271,23 +299,19 @@ class _Trees(WordBuffer):
             mv, k, c, i - k * self._block_len)
 
     def select(self, c: int, j: int, trace=None, base: int = 0) -> int:
-        """Position of the j-th occurrence of c."""
+        """Position of the j-th occurrence of c: in the first block whose
+        count of c through it reaches j, found by one search of c's run
+        of the per-symbol tables, then inside that block's tree."""
         c, j = self._symbol(c), operator.index(j)
         total = int(self._hist[c])
         if j < 1 or j > total:
             raise ValueError(f"symbol {c} occurs {total} times, ordinal {j}")
-        # In the last block with fewer than j before it; block 0 has none.
-        mv = self._reader(trace, base)
-        lo, hi = 1, len(self._tree_end)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if self._before(mv, mid, c) >= j:
-                hi = mid
-            else:
-                lo = mid + 1
-        k = lo - 1
+        lo = self._sel_start[c]
+        at = bisect_left(self._sel_cum, j, lo, self._sel_start[c + 1])
+        k = self._sel_block[at]
+        before = self._sel_cum[at - 1] if at > lo else 0
         return k * self._block_len + self._select_in(
-            mv, k, c, j - self._before(mv, k, c))
+            self._reader(trace, base), k, c, j - before)
 
     # -- queries inside one tree, reading words through mv ------------
 

@@ -277,7 +277,7 @@ def test_from_words_rejects_set_padding_bits(words, length):
 
 def test_select_in_word_matches_a_bit_scan():
     rng = np.random.default_rng(41)
-    words = [(1 << 64) - 1, 1, 1 << 63]
+    words = [0, (1 << 64) - 1, 1 << 63] + [1 << b for b in range(64)]
     for density in (0.03, 0.5, 0.97):
         for _ in range(50):
             bits = rng.random(64) < density
@@ -286,8 +286,26 @@ def test_select_in_word_matches_a_bit_scan():
         ones = [b for b in range(64) if word >> b & 1]
         for j, offset in enumerate(ones, start=1):
             assert select_in_word(word, j) == offset
-        with pytest.raises(ValueError):
-            select_in_word(word, len(ones) + 1)
+        for j in (0, len(ones) + 1):
+            with pytest.raises(ValueError):
+                select_in_word(word, j)
+
+
+@pytest.mark.parametrize("density", [0.03, 0.5, 0.97])
+def test_select_matches_numpy_at_every_ordinal(density):
+    # One-word vectors (lengths 1..64) are read as their word alone;
+    # 65..70 and 500..600 search the directory or scan words.
+    for n in [*range(1, 71), *range(500, 601)]:
+        bits = rng_bits(n, density, seed=n)
+        bv = BitVector.from_bits(bits)
+        ones, zeros = np.flatnonzero(bits) + 1, np.flatnonzero(bits == 0) + 1
+        assert [bv.select1(j) for j in range(1, len(ones) + 1)] == ones.tolist()
+        assert [bv.select0(j) for j in range(1, len(zeros) + 1)] == zeros.tolist()
+        if n <= 64 and len(ones) and len(zeros):
+            for select in (bv.select1, bv.select0):
+                t = []
+                select(1, trace=t)
+                assert t == [16]  # the packed word, after magic and length
 
 
 def test_traced_words_record_every_word_of_a_slice_in_order():

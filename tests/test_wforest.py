@@ -472,19 +472,54 @@ def _golden_queries(text, bits, seed):
     return queries
 
 
+def _search_select_trace(structure, c, j, trace):
+    """A select trace mapped to the reads of the scalar path that found
+    the block by binary search over rank-row column c and read every
+    node's select-sample counts: a forest's probes of that search and
+    its read of the answer's row come first, and each one-word node's
+    sample-count words go back before its data word, the 1-sample count
+    at d and, for a clear-bit select, the 0-sample count at d + 1."""
+    rows, k = [], 0
+    if isinstance(structure, WaveletForest):
+        column = structure.rank_table[:, c]
+        lo, hi = 1, structure.block_count
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            rows.append(structure.block_section_offset(mid) + 8 * c)
+            lo, hi = (lo, mid) if column[mid] >= j else (mid + 1, hi)
+        k = lo - 1
+        rows.append(structure.block_section_offset(k) + 8 * c)
+    counts = {}  # a one-word node's data word -> its sample-count words
+    code = structure._code[(k << structure.alphabet_bits) + c]
+    node = structure._root[k]
+    for shift in range(code.bit_length() - 2, -1, -1):
+        bit = (code >> shift) & 1
+        if structure._nlen[node] <= 64:
+            d = structure._nd[node]
+            counts[8 * structure._nw[node]] = [8 * d] if bit else [8 * d, 8 * d + 8]
+        node = structure._right[node] if bit else structure._left[node]
+    for offset in trace:
+        rows += counts.get(offset, []) + [offset]
+    return rows
+
+
 def _trace_digests(structure, queries):
     """sha256 over every query's name, arguments, answer and trace (the
     byte offset of each word read, in order), query after query: of the
-    traces as read, and of the traces mapped to the BFS placement."""
+    traces as read, of the traces with select's mapped by
+    _search_select_trace, and of those mapped to the BFS placement."""
     where = _bfs_placed(structure)[1]
-    h, bfs = hashlib.sha256(), hashlib.sha256()
+    h, search, bfs = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for name, *args in queries:
         trace = []
         answer = getattr(structure, name)(*args, trace=trace)
         h.update(repr((name, args, int(answer), trace)).encode())
+        if name == "select":
+            trace = _search_select_trace(structure, *args, trace)
+        search.update(repr((name, args, int(answer), trace)).encode())
         trace = [where(offset) for offset in trace]
         bfs.update(repr((name, args, int(answer), trace)).encode())
-    return h.hexdigest(), bfs.hexdigest()
+    return h.hexdigest(), search.hexdigest(), bfs.hexdigest()
 
 
 # sha256 of the traces of _golden_queries on golden_text(bits), for a tree
@@ -527,6 +562,28 @@ PREORDER_TRACE_DIGESTS = {
 }
 
 
+# The digests of the traces as read that changed when select began to
+# find its block in the per-symbol tables and to read a one-word node as
+# its word alone. Mapped by _search_select_trace, the traces still give
+# the digests above.
+SELECT_TRACE_DIGESTS = {
+    1: {1: "a3dcaea3a6f32c9fa1223e708edd94858268efacee28b3970d1ca35e7554387e",
+        3: "fc53db45f1b7f4446dc5eae3b0bef5acfa70c046c54c2920b19eda6a71b56fe5",
+        64: "3ffe7cdd43c213597c8f79a5871bb8ffa898c1a2ba6af57769c1e66ed89b2379",
+        "n": "c3d53fc7549de20418d701d2152eb48e705fe9ff2dc11f1df643b2c978c9984f"},
+    4: {"tree": "c69b0696ef6cbe00caba6b1d6ccf4cf0537a94e3d856146c3c0e91331a7c844b",
+        1: "182751b622eab2dfe5e25ef688d8ccf70d528f602b07331620e2139f1388b011",
+        3: "c24f8a2ab2902c01298b1ba73b77c2264bd9a8c09398ae08268400870a61c71d",
+        64: "6f396693d1bb9bf8af3d2e42b1d6b98628365df5b8d25fd4782429b93c15d3c1",
+        "n": "c0ceeb6e5ed05f7058b96b663d704b8b8e48ef710814f217aa74ce073d2528ee"},
+    8: {"tree": "f7dea7d6bddd61eb5f2d4d38a14700ef7c483b3d8d7ea7fac93bd7069f954c12",
+        1: "1b93e479072f3c3f875079c58ce9bab7e36e6e2f629f17618b05e0e1e4c238c6",
+        3: "4aa40cdf93f4f1708dbdfa9ecfef3abb677b7e819ec8f228fcdb45dfb7584728",
+        64: "db751a3a8dd2ca8248a7e3121822f0c5ef014a556a3374936835146aadcbdc8d",
+        "n": "0a55975983532055b5df4f4c60e637cf640726b0c35d00e224999dbde9000fbe"},
+}
+
+
 @pytest.mark.parametrize("bits", sorted(GOLDEN_TRACE_DIGESTS))
 def test_traces_match_golden_digests(bits):
     text = golden_text(bits)
@@ -547,8 +604,11 @@ def test_traces_match_golden_digests(bits):
             fm = FmIndex.build(text, bits, backend=backend, block_len=64)
             digests["fm-" + backend] = _trace_digests(fm, fm_queries)
     assert {key: d[0] for key, d in digests.items()} == {
+        **GOLDEN_TRACE_DIGESTS[bits], **PREORDER_TRACE_DIGESTS.get(bits, {}),
+        **SELECT_TRACE_DIGESTS.get(bits, {})}
+    assert {key: d[1] for key, d in digests.items()} == {
         **GOLDEN_TRACE_DIGESTS[bits], **PREORDER_TRACE_DIGESTS.get(bits, {})}
-    assert {key: d[1] for key, d in digests.items()} == GOLDEN_TRACE_DIGESTS[bits]
+    assert {key: d[2] for key, d in digests.items()} == GOLDEN_TRACE_DIGESTS[bits]
 
 
 @pytest.mark.parametrize("word, value", [(2, 50), (1, 1050), (3, 9), (1, 999)])
@@ -671,3 +731,96 @@ def test_forest_access_reads_few_pages():
                                          4096).mean_distinct_regions
     assert pages["forest"] <= 6.0, pages
     assert pages["forest"] < pages["tree"], pages
+
+
+def test_load_rejects_overlapping_node_sections():
+    # A 2-bit tree of 250 of each symbol: its root's children both hold
+    # 500 bits, so node 2's offset word pointed at node 1's section
+    # passes every check of one section alone. Such a file used to load,
+    # and then answered 236 of its 1000 accesses wrongly.
+    text = np.random.default_rng(1).permutation(np.repeat(np.arange(4), 250))
+    wt = WaveletTree.build(text, 2)
+    assert wt.node_count == 3 and len(wt.node(1)) == len(wt.node(2)) == 500
+    words = np.frombuffer(wt.to_bytes(), "<u8").copy()
+    offsets_at = 4 + 2 * wt.code_table.sigma_effective
+    words[offsets_at + 2] = words[offsets_at + 1]
+    with pytest.raises(ValueError, match="overlap"):
+        WaveletTree.from_bytes(words.tobytes())
+
+
+@pytest.mark.parametrize("bits", sorted(GOLDEN_DIGESTS))
+def test_preorder_and_bfs_placed_files_load(bits):
+    # Sections in either order share no word, so both files load and
+    # answer alike.
+    text = golden_text(bits)
+    structures = [WaveletTree.build(text, bits)]
+    structures += [WaveletForest.build(text, bl, bits) for bl in (3, 64)]
+    for structure in structures:
+        blob, _ = _bfs_placed(structure)
+        for loaded in (type(structure).from_bytes(structure.to_bytes()),
+                       type(structure).from_bytes(blob)):
+            assert [loaded.access(i) for i in range(1, len(text) + 1)] == \
+                text.tolist()
+    fm = FmIndex.build(text, bits, backend="forest", block_len=64)
+    loaded = FmIndex.from_bytes(_bfs_placed(fm)[0])
+    assert loaded.count(text[:3].tolist()) == fm.count(text[:3].tolist())
+
+
+def _clustered_text(seed, n=6000, bits=8):
+    """Runs of 500 symbols, each drawn from 4 symbols of its own, and 5
+    scattered occurrences of the top symbol: most symbols are absent
+    from most blocks."""
+    rng = np.random.default_rng(seed)
+    top = (1 << bits) - 1
+    text = (4 * (np.arange(n) // 500) + rng.integers(0, 4, n)) % top
+    text[rng.choice(n, 5, replace=False)] = top
+    return text
+
+
+def _check_every_select(structure, seq):
+    """Every ordinal of every symbol of structure's alphabet selects the
+    position numpy finds, and ordinals 0 and count + 1 raise."""
+    for c in range(1 << structure.alphabet_bits):
+        at = (np.flatnonzero(seq == c) + 1).tolist()
+        assert [structure.select(c, j) for j in range(1, len(at) + 1)] == at, c
+        for j in (0, len(at) + 1):
+            with pytest.raises(ValueError):
+                structure.select(c, j)
+
+
+@pytest.mark.parametrize("block_len", [1, 3, 32, 64, 4096])
+def test_select_finds_every_ordinal_in_sparse_blocks(block_len):
+    text = _clustered_text(block_len)
+    wf = WaveletForest.build(text, block_len, 8)
+    for structure in (wf, WaveletForest.from_bytes(wf.to_bytes())):
+        _check_every_select(structure, text)
+
+
+@pytest.mark.parametrize("backend", ["tree", "forest"])
+def test_fm_backend_select_finds_every_ordinal(backend):
+    text = _clustered_text(7, 3000, 4)
+    fm = FmIndex.build(text, 4, backend=backend, block_len=64)
+    _check_every_select(fm.backend, fmindex.build_bwt(text, 4).transformed)
+
+
+def test_forest_select_stays_in_its_block():
+    # 16 blocks of 4096 uniform 8-bit symbols: a select finds its block
+    # in the loaded per-symbol tables, which traces do not show, and
+    # reads only that block's section, about as few pages as an access.
+    n, block_len = 1 << 16, 4096
+    rng = np.random.default_rng(29)
+    text = rng.integers(0, 256, n).astype(np.uint8)
+    wf = WaveletForest.build(text, block_len, 8)
+    hist = wf.histogram
+    selects = []
+    for c in rng.choice(np.flatnonzero(hist), 500).tolist():
+        at, trace = profile(wf.select, c, int(rng.integers(1, hist[c] + 1)))
+        k = (at - 1) // block_len
+        lo = wf.block_section_offset(k)
+        assert all(lo <= x < lo + wf.block_section_bytes(k) for x in trace)
+        selects.append(trace)
+    accesses = [profile(wf.access, p)[1]
+                for p in gen_query_positions(29, 500, n)]
+    pages = {name: aggregate_locality(wf, traces, 4096).mean_distinct_regions
+             for name, traces in (("select", selects), ("access", accesses))}
+    assert pages["select"] <= 1.5 * pages["access"], pages
